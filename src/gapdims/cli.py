@@ -159,7 +159,7 @@ def cmd_sample(args) -> int:
 
 def cmd_estimate(args) -> int:
     merge_config(args, ["seq", "phi", "w", "arrangement", "seed", "levels",
-                        "policy", "workers"])
+                        "policy"])
     _require(args, "seq", "w")
     a = parse_sequence(args.seq)
     f = parse_phi(args.phi or "zero")
@@ -177,8 +177,7 @@ def cmd_estimate(args) -> int:
         "sequence": a.to_config(), "dimension_function": f.to_config(),
     }}
     for direction in directions:
-        est = estimate_dimension(s, direction, f, p, d, policy,
-                                 workers=args.workers or 1)
+        est = estimate_dimension(s, direction, f, p, d, policy)
         summary[direction] = est.to_record()
         write_csv(out_path(f"windows-{direction}", "csv", args),
                   ["n", "x", "R", "r", "N", "exponent"],
@@ -210,9 +209,13 @@ def check_thresholds(rules: dict, summaries: list[dict], targets: dict) -> list[
         target = rule.get("target")
         if isinstance(target, str):
             target = targets[target]
+        drift = rule.get("drift")
+        if target is None and (drift == "toward" or rule.get("final_distance_max") is not None):
+            raise GapdimsError(f"{side} rule measures distance but has no target")
         if target is not None:
             dist = [abs(v - target) for v in med]
-        drift = rule.get("drift")
+        if drift not in (None, "toward", "increasing", "non-increasing"):
+            raise GapdimsError(f"unknown {side} drift {drift!r}")
         if drift == "toward":
             ok = all(d2 < d1 for d1, d2 in zip(dist, dist[1:]))
             checks.append({"check": f"{side} drift toward {target:.6f}",
@@ -369,7 +372,6 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["random", "cantor", "decreasing"])
     p.add_argument("--seed", type=int); p.add_argument("--levels", type=int)
     p.add_argument("--direction", default="both", choices=["upper", "lower", "both"])
-    p.add_argument("--workers", type=int)
     p.add_argument("--policy", type=json.loads,
                    help="window policy as inline JSON")
     common(p); p.set_defaults(func=cmd_estimate)

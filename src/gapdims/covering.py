@@ -8,18 +8,19 @@ where N is the exact minimum number of closed balls of radius r needed
 to cover the approximate set inside the window.
 
 Counting is exact: in one dimension the greedy sweep (always start the
-next ball at the leftmost uncovered point) is optimal.  Radii below the
-approximation's truncation floor are refused, since at those scales the
-depth-W set no longer resolves the true one.  Window centers sit at
-endpoints of the construction intervals: these are points of the set,
-and the extrema over them capture the extrema over the whole set at the
-scales in play.
+next ball at the leftmost uncovered point) is optimal.  One vectorized
+kernel runs that sweep over all windows of an estimate in lockstep, with
+the serial loop's float arithmetic, so counts match it bit for bit.
+Radii below the approximation's truncation floor are refused, since at
+those scales the depth-W set no longer resolves the true one.  Window
+centers sit at endpoints of the construction intervals: these are points
+of the set, and the extrema over them capture the extrema over the whole
+set at the scales in play.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,27 +32,41 @@ from .randmodel import ApproxSet
 from .sequences import LevelProfile
 
 
-def _greedy_count(lefts, rights, lo: float, hi: float, r: float) -> int:
-    """Minimal closed 2r-interval cover of the segments clipped to [lo, hi]."""
-    i0 = int(np.searchsorted(rights, lo, side="left"))
-    i1 = int(np.searchsorted(lefts, hi, side="right"))
-    if i0 >= i1:
-        return 0
-    seg_l = np.maximum(lefts[i0:i1], lo).tolist()
-    seg_r = np.minimum(rights[i0:i1], hi).tolist()
-    width = 2.0 * r
-    count = 0
-    covered = -math.inf
-    for sl, sr in zip(seg_l, seg_r):
-        if sr <= covered:
-            continue
-        start = sl if sl > covered else covered
-        need = sr - start
+def _cover_counts(lefts, rights, lo, hi, r) -> np.ndarray:
+    """Minimal closed 2r-interval cover of the segments clipped to [lo, hi],
+    for every window at once.
+
+    Each lockstep step handles the next uncovered segment of every active
+    window, then jumps past the segments its balls cover.  A window retires
+    when its segments run out or its cover reaches hi, so the loop runs
+    max(segments visited) <= max(N) steps, not one per segment.
+    """
+    lo = np.asarray(lo, dtype=np.float64)
+    hi = np.asarray(hi, dtype=np.float64)
+    width = 2.0 * np.asarray(r, dtype=np.float64)
+    idx = np.searchsorted(rights, lo, side="left")
+    end = np.searchsorted(lefts, hi, side="right")
+    counts = np.zeros(lo.shape, dtype=np.int64)
+    pos = np.flatnonzero(idx < end)
+    lo, hi, width, idx, end = lo[pos], hi[pos], width[pos], idx[pos], end[pos]
+    covered = np.full(pos.size, -np.inf)
+    balls = np.zeros(pos.size)
+    while pos.size:
+        start = np.maximum(np.maximum(lefts[idx], lo), covered)
+        need = np.minimum(rights[idx], hi) - start
         # tolerance keeps exact multiples of the ball width at the exact count
-        balls = 1 if need <= 0 else math.ceil(need / width - 1e-12)
-        count += balls
-        covered = start + balls * width
-    return count
+        step = np.where(need <= 0, 1.0, np.ceil(need / width - 1e-12))
+        balls += step
+        covered = start + step * width
+        # the tolerance can stop a cover a hair short of the segment's end;
+        # the serial sweep moves on regardless, so never revisit it
+        idx = np.maximum(idx + 1, np.searchsorted(rights, covered, side="right"))
+        live = (idx < end) & (covered < hi)
+        if not live.all():
+            counts[pos[~live]] = balls[~live]
+            pos, lo, hi, width, idx, end, covered, balls = (
+                v[live] for v in (pos, lo, hi, width, idx, end, covered, balls))
+    return counts
 
 
 def cover_count(s: ApproxSet, x: float, big_r: float, r: float) -> int:
@@ -62,13 +77,13 @@ def cover_count(s: ApproxSet, x: float, big_r: float, r: float) -> int:
     """
     if r <= 0 or big_r <= 0:
         raise InvalidRangeError("radii must be positive")
-    if not -1.0 <= x - big_r and x + big_r <= 2.0:
+    if not (-1.0 <= x - big_r and x + big_r <= 2.0):
         raise InvalidRangeError("window must stay within [-1, 2]")
     if r < s.truncation_floor():
         raise TruncationViolationError(
             f"radius {r:.3g} below truncation floor {s.truncation_floor():.3g}")
     lefts, rights = s.solid_segments()
-    return _greedy_count(lefts, rights, x - big_r, x + big_r, r)
+    return int(_cover_counts(lefts, rights, [x - big_r], [x + big_r], [r])[0])
 
 
 @dataclass(frozen=True)
@@ -247,40 +262,23 @@ def enumerate_windows(s: ApproxSet, f: DimensionFunction, p: LevelProfile,
     return out
 
 
-def _resolve_batch(segs, windows) -> list[CoverQuery]:
-    lefts, rights = segs
-    return [
-        CoverQuery(n=n, k=k, center_x=x, radius_R=big_r, scale_r=r,
-                   count_N=_greedy_count(lefts, rights, x - big_r, x + big_r, r))
-        for n, k, x, big_r, r in windows
-    ]
-
-
 def estimate_dimension(s: ApproxSet, direction: str, f: DimensionFunction,
-                       p: LevelProfile, d: DepthTable, policy: WindowPolicy,
-                       workers: int = 1) -> DimensionEstimate:
+                       p: LevelProfile, d: DepthTable, policy: WindowPolicy) -> DimensionEstimate:
     """Window-sweep estimate of one Phi-dimension direction.
 
     ``direction`` "upper" takes the max exponent over windows, "lower"
     the min; empty windows (count 0) are skipped — centers lie in the
-    set, so they only arise from subsampled neighbors.  With workers > 1
-    the window batches run on a thread pool; the reduction is a
-    deterministic extremum with a lexicographic tie-break on the window,
-    so parallel output is identical to serial.
+    set, so they only arise from subsampled neighbors.  All windows are
+    counted in one lockstep sweep; the reduction is a deterministic
+    extremum with a lexicographic tie-break on the window.
     """
     if direction not in ("upper", "lower"):
         raise InvalidRangeError(f"direction must be upper or lower, got {direction!r}")
     windows = enumerate_windows(s, f, p, d, policy)
-    segs = s.solid_segments()
-    if workers > 1:
-        size = max(1, -(-len(windows) // (4 * workers)))
-        batches = [windows[i:i + size] for i in range(0, len(windows), size)]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(lambda b: _resolve_batch(segs, b), batches))
-        records = [q for part in parts for q in part]
-    else:
-        records = _resolve_batch(segs, windows)
-    records = [q for q in records if q.count_N >= 1]
+    _, _, x, big_r, r = (np.array(col) for col in zip(*windows))
+    counts = _cover_counts(*s.solid_segments(), x - big_r, x + big_r, r)
+    records = [CoverQuery(n=n, k=k, center_x=cx, radius_R=cR, scale_r=cr, count_N=c)
+               for (n, k, cx, cR, cr), c in zip(windows, counts.tolist()) if c >= 1]
     if not records:
         raise NoAdmissibleWindowError("all enumerated windows were empty")
     sign = 1.0 if direction == "upper" else -1.0

@@ -171,8 +171,9 @@ def build_set(sequence: GapSequence, w: int, arrangement: str, seed: int | None 
         if seed is None:
             raise ValueError("random arrangement requires a seed")
         omega = rng.uniforms(seed, 1, 2 ** w)
-        order = np.argsort(omega, kind="stable") + 1
-        spacings = np.diff(np.concatenate([[0.0], np.sort(omega), [1.0]]))
+        perm = np.argsort(omega, kind="stable")
+        order = perm + 1
+        spacings = np.diff(np.concatenate([[0.0], omega[perm], [1.0]]))
         slot_mass = tail * spacings / spacings.sum()
     elif arrangement == "cantor":
         pos = _cantor_positions(w)

@@ -31,10 +31,10 @@ from gapdims import (
     upper_phi_dim_formula,
 )
 from gapdims.cli import run_manifest
-from gapdims.covering import WindowPolicy, _greedy_count
+from gapdims.covering import WindowPolicy
 from gapdims.rng import derive_seed
 
-from test_covering import exhaustive_cover
+from test_covering import _greedy_count, batched_counts, exhaustive_cover
 
 LN2 = math.log(2.0)
 MID = make_sequence("middle-third")
@@ -114,10 +114,11 @@ def test_criterion_04_greedy_equals_exhaustive():
         lefts, rights = pts[0::2].copy(), pts[1::2].copy()
         r = float(rng.uniform(0.02, 0.3))
         greedy = _greedy_count(lefts, rights, -0.1, 1.1, r)
+        batched = batched_counts(lefts, rights, [(-0.1, 1.1, r)])[0]
         exact = exhaustive_cover(list(zip(lefts, rights)), -0.1, 1.1, r, budget=greedy)
-        mismatches += greedy != exact
+        mismatches += not greedy == batched == exact
     assert mismatches == 0
-    print("PASS criterion 4: greedy = exhaustive minimal cover on 1000 "
+    print("PASS criterion 4: greedy = batched = exhaustive minimal cover on 1000 "
           "random instances, zero mismatches")
 
 

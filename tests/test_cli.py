@@ -6,7 +6,8 @@ import math
 
 import pytest
 
-from gapdims.cli import main, parse_phi, parse_sequence
+from gapdims import GapdimsError
+from gapdims.cli import check_thresholds, main, parse_phi, parse_sequence
 
 
 @pytest.fixture
@@ -144,3 +145,38 @@ def test_experiment_manifest_small(outdir, tmp_path):
 def test_missing_required_flag(outdir, capsys):
     assert main(["sample", "--seq", "middle-third", "--out", "x"]) == 2
     assert "missing required option" in capsys.readouterr().err
+
+
+LADDER = [{"median_up": 0.9, "median_low": 0.2, "sandwich_violations": 0},
+          {"median_up": 0.8, "median_low": 0.3, "sandwich_violations": 0}]
+
+
+def test_thresholds_with_target_pass_and_fail():
+    rules = {"upper": {"drift": "toward", "target": "formula_upper",
+                       "final_distance_max": 0.06}}
+    checks = check_thresholds(rules, LADDER, {"formula_upper": 0.75})
+    assert [c["pass"] for c in checks] == [True, True]
+    checks = check_thresholds(rules, LADDER, {"formula_upper": 0.95})
+    assert [c["pass"] for c in checks] == [False, False]
+
+
+@pytest.mark.parametrize("rule", [
+    {"drift": "toward"},
+    {"final_distance_max": 0.1},
+    {"drift": "toward", "final_distance_max": 0.1, "target": None},
+])
+def test_threshold_distance_rule_without_target_raises(rule):
+    with pytest.raises(GapdimsError, match="no target"):
+        check_thresholds({"lower": rule}, LADDER, {})
+
+
+def test_threshold_unknown_drift_raises():
+    # a typo must not turn the rule into zero checks that pass vacuously
+    with pytest.raises(GapdimsError, match="unknown upper drift"):
+        check_thresholds({"upper": {"drift": "decreasing"}}, LADDER, {})
+
+
+def test_estimate_has_no_workers_flag(outdir, capsys):
+    with pytest.raises(SystemExit):
+        main(["estimate", "--seq", "middle-third", "--w", "10", "--workers", "2"])
+    assert "unrecognized arguments: --workers" in capsys.readouterr().err

@@ -19,9 +19,37 @@ from gapdims import (
     make_dimension_function,
     make_sequence,
 )
-from gapdims.covering import _greedy_count
+from gapdims.covering import _cover_counts
 
 MID = make_sequence("middle-third")
+
+
+def _greedy_count(lefts, rights, lo: float, hi: float, r: float) -> int:
+    """Serial greedy oracle: one window, one Python pass over its segments."""
+    i0 = int(np.searchsorted(rights, lo, side="left"))
+    i1 = int(np.searchsorted(lefts, hi, side="right"))
+    if i0 >= i1:
+        return 0
+    seg_l = np.maximum(lefts[i0:i1], lo).tolist()
+    seg_r = np.minimum(rights[i0:i1], hi).tolist()
+    width = 2.0 * r
+    count = 0
+    covered = -math.inf
+    for sl, sr in zip(seg_l, seg_r):
+        if sr <= covered:
+            continue
+        start = sl if sl > covered else covered
+        need = sr - start
+        balls = 1 if need <= 0 else math.ceil(need / width - 1e-12)
+        count += balls
+        covered = start + balls * width
+    return count
+
+
+def batched_counts(lefts, rights, windows):
+    """Kernel counts of (lo, hi, r) windows, all resolved in one call."""
+    lo, hi, r = (np.array(col, dtype=float) for col in zip(*windows))
+    return _cover_counts(lefts, rights, lo, hi, r).tolist()
 
 
 def exhaustive_cover(segs, lo, hi, r, budget):
@@ -76,7 +104,8 @@ def test_greedy_equals_exhaustive_random_instances():
         # greedy itself is a valid cover; the oracle hunts for a strictly
         # smaller one over the full branch tree
         exact = exhaustive_cover(list(zip(lefts, rights)), lo, hi, r, budget=greedy)
-        if greedy != exact:
+        batched = batched_counts(lefts, rights, [(lo, hi, r)])[0]
+        if not greedy == batched == exact:
             mismatches += 1
     assert mismatches == 0
 
@@ -88,6 +117,71 @@ def test_greedy_handles_exact_multiples():
     lefts = np.array([0.0, 0.2, 0.21])
     rights = np.array([0.0, 0.2, 0.21])
     assert _greedy_count(lefts, rights, -1.0, 1.0, 0.05) == 2
+
+
+def test_kernel_edge_cases_match_oracle():
+    # zero-length segments, a segment ending exactly where a ball ends,
+    # needs that are exact multiples of 2r, windows whose edges sit on
+    # segment endpoints, and windows that meet no segment at all
+    lefts = np.array([0.0, 0.25, 0.25, 0.5, 0.75, 0.875])
+    rights = np.array([0.125, 0.25, 0.375, 0.5, 0.875, 1.0])
+    windows = [
+        (0.0, 1.0, 0.0625),       # first segment needs exactly one 2r ball
+        (0.0, 1.0, 0.03125),      # every need an exact multiple of 2r
+        (0.25, 0.5, 0.0625),      # edges on endpoints, point segments at both
+        (0.125, 0.875, 0.015625), # edges on right/left endpoints
+        (0.5, 0.5, 0.01),         # degenerate window on a point segment
+        (0.126, 0.24, 0.01),      # empty: strictly inside a gap
+        (1.5, 2.0, 0.1),          # empty: right of every segment
+        (-1.0, -0.5, 0.1),        # empty: left of every segment
+        (-1.0, 2.0, 1.0),         # one ball covers everything
+        (0.0, 1.0, 1e-3),         # many balls per segment
+    ]
+    want = [_greedy_count(lefts, rights, lo, hi, r) for lo, hi, r in windows]
+    assert batched_counts(lefts, rights, windows) == want
+    # 2r = 1/8: one ball per segment; the point at 0.25 covers [0.25, 0.375]
+    assert want[0] == 5
+    # 2r = 1/16: 2 + 1 + 1 (the rest of [0.25, 0.375]) + 1 + 2 + 2
+    assert want[1] == 9
+    assert want[5:8] == [0, 0, 0]
+    assert want[8] == 1
+    # one window at a time equals the batch
+    assert [batched_counts(lefts, rights, [w])[0] for w in windows] == want
+    # a need a hair above a multiple of 2r takes that multiple, so the last
+    # ball can stop short of the segment's right end; the sweep still
+    # moves on to the next segment
+    for right, r, count in ((0.1 + 0.2, 0.05, 3 + 3), (0.375 + 1e-14, 0.0625, 3 + 2)):
+        lefts, rights = np.array([0.0, 0.5]), np.array([right, 0.75])
+        assert batched_counts(lefts, rights, [(0.0, 1.0, r)]) == \
+            [_greedy_count(lefts, rights, 0.0, 1.0, r)] == [count]
+    # points only: each needs its own ball unless within reach of the last
+    pts = np.array([0.0, 0.1, 0.2, 0.30000000000000004, 0.9])
+    point_windows = [(0.0, 1.0, 0.05), (0.0, 0.9, 0.5), (0.1, 0.2, 0.01)]
+    assert batched_counts(pts, pts, point_windows) == \
+        [_greedy_count(pts, pts, *w) for w in point_windows]
+
+
+@pytest.mark.parametrize("w,seed", [(12, 8), (13, 21), (14, 5)])
+def test_kernel_equals_serial_greedy_on_policies(w, seed):
+    s = build_set(MID, w, "random", seed=seed)
+    p = level_sums(MID, 30)
+    lefts, rights = s.solid_segments()
+    cases = [
+        ("zero", None, WindowPolicy(n_values=(3, 5), k_min=1, k_max=3)),
+        ("zero", None, WindowPolicy(n_spread=True, auto_n_count=4, max_centers=256)),
+        ("constant", 0.5, WindowPolicy(k_auto=True, margin_radius=True)),
+    ]
+    for family, param, policy in cases:
+        f = make_dimension_function(family, param)
+        d = depth_function(f, p, 28, clip=True)
+        wins = enumerate_windows(s, f, p, d, policy)
+        want = [_greedy_count(lefts, rights, x - big_r, x + big_r, r)
+                for _, _, x, big_r, r in wins]
+        got = batched_counts(lefts, rights, [(x - big_r, x + big_r, r)
+                                             for _, _, x, big_r, r in wins])
+        assert got == want
+        est = estimate_dimension(s, "upper", f, p, d, policy)
+        assert [q.count_N for q in est.records] == [c for c in want if c >= 1]
 
 
 def test_cover_count_cantor_powers():
@@ -107,6 +201,17 @@ def test_cover_count_refuses_subfloor_radius():
         cover_count(s, 0.5, 0.1, 0.25 * s.truncation_floor())
     with pytest.raises(InvalidRangeError):
         cover_count(s, 0.5, -0.1, 0.01)
+
+
+def test_cover_count_window_bounds():
+    s = build_set(MID, 8, "random", seed=1)
+    # the right edge 0.5 + 4.5 leaves [-1, 2] although the left edge does not
+    with pytest.raises(InvalidRangeError):
+        cover_count(s, 0.5, 4.5, 0.1)
+    with pytest.raises(InvalidRangeError):
+        cover_count(s, 0.5, 1.6, 0.1)
+    lefts, rights = s.solid_segments()
+    assert cover_count(s, 0.5, 1.5, 0.1) == _greedy_count(lefts, rights, -1.0, 2.0, 0.1) == 5
 
 
 def test_enumerate_windows_admissibility():
@@ -138,19 +243,6 @@ def test_estimate_dimension_cantor_control():
     for direction in ("upper", "lower"):
         est = estimate_dimension(s, direction, f, p, d, policy)
         assert est.beta_hat == pytest.approx(want, abs=1e-7)
-
-
-def test_parallel_equals_serial():
-    s = build_set(MID, 12, "random", seed=8)
-    p = level_sums(MID, 20)
-    f = make_dimension_function("zero")
-    d = depth_function(f, p, 18)
-    policy = WindowPolicy(n_values=(3, 5), k_min=1, k_max=3)
-    serial = estimate_dimension(s, "upper", f, p, d, policy, workers=1)
-    parallel = estimate_dimension(s, "upper", f, p, d, policy, workers=5)
-    assert serial.beta_hat == parallel.beta_hat
-    assert serial.extremal == parallel.extremal
-    assert serial.records == parallel.records
 
 
 def test_lower_at_most_upper():

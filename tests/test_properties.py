@@ -15,7 +15,8 @@ from gapdims import (
     make_sequence,
     upper_phi_dim_formula,
 )
-from gapdims.covering import _greedy_count
+
+from test_covering import _greedy_count
 
 ratios = st.floats(min_value=0.05, max_value=0.45)
 
