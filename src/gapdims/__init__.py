@@ -44,8 +44,9 @@ from .experiments import (
     interval_length_lemma_check,
     max_load_statistic,
     run_dichotomy_experiment,
+    run_manifest,
 )
-from .randmodel import ApproxSet, build_set, rank_slots, sample_order, slot_counts
+from .randmodel import ApproxSet, build_set, sample_order, slot_counts
 from .rng import derive_seed, mix64, uniforms
 from .sequences import (
     GapSequence,
@@ -85,8 +86,8 @@ __all__ = [
     "interval_length_lemma_check",
     "level_sums",
     "max_load_statistic",
-    "rank_slots",
     "run_dichotomy_experiment",
+    "run_manifest",
     "slot_counts",
     "lower_phi_dim_formula",
     "make_dimension_function",

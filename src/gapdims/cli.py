@@ -5,8 +5,12 @@ Commands
 dims        formula dimensions of the rule-based set, both directions
 sample      write the gap table of one arrangement
 estimate    window-sweep dimension estimate of one arrangement
-experiment  run a manifest of seeded experiments with binding thresholds
+experiment  run a manifest of seeded experiments with binding thresholds,
+            through the library engine `gapdims.run_manifest`
 tailcheck   exact binomial tails against the stated bounds
+
+Exit codes: 0 = every check passes, 1 = a binding check failed, 2 = bad input
+(unknown or missing options or keys, malformed JSON, unreadable files).
 
 Every artifact embeds its fully-resolved config and seed, JSON keys are
 sorted, and all randomness is counter-based, so re-running a command
@@ -28,7 +32,7 @@ from . import experiments
 from .cantor import box_dim_estimate, lower_phi_dim_formula, upper_phi_dim_formula
 from .covering import WindowPolicy, estimate_dimension
 from .dimfuncs import depth_function, make_dimension_function
-from .errors import GapdimsError
+from .errors import GapdimsError, check_keys
 from .randmodel import build_set
 from .sequences import GapSequence, make_sequence, level_sums
 
@@ -91,11 +95,12 @@ def write_csv(path: str, header: list[str], rows) -> None:
 
 
 def merge_config(args, keys: list[str]) -> None:
-    """Config-file values fill in flags the user did not pass."""
+    """Config-file values fill in flags the user did not pass; a key that
+    names no option of the command is an error."""
     if not getattr(args, "config", None):
         return
     with open(args.config) as fh:
-        file_cfg = json.load(fh)
+        file_cfg = check_keys(json.load(fh), f"config file {args.config}", optional=keys)
     for key in keys:
         if getattr(args, key, None) is None and key in file_cfg:
             setattr(args, key, file_cfg[key])
@@ -180,8 +185,8 @@ def cmd_estimate(args) -> int:
         est = estimate_dimension(s, direction, f, p, d, policy)
         summary[direction] = est.to_record()
         write_csv(out_path(f"windows-{direction}", "csv", args),
-                  ["n", "x", "R", "r", "N", "exponent"],
-                  ((q.n, q.center_x, q.radius_R, q.scale_r, q.count_N, q.exponent)
+                  ["n", "k", "x", "R", "r", "N", "exponent"],
+                  ((q.n, q.k, q.center_x, q.radius_R, q.scale_r, q.count_N, q.exponent)
                    for q in est.records))
         print(f"{direction} beta_hat = {est.beta_hat:.6f} "
               f"({len(est.records)} windows)")
@@ -189,120 +194,14 @@ def cmd_estimate(args) -> int:
     return 0
 
 
-def _policies_from_manifest(cfg: dict | None) -> dict | None:
-    if cfg is None:
-        return None
-    return {int(depth): (WindowPolicy.from_config(pair[0]),
-                         WindowPolicy.from_config(pair[1]))
-            for depth, pair in cfg.items()}
-
-
-def check_thresholds(rules: dict, summaries: list[dict], targets: dict) -> list[dict]:
-    """Evaluate pre-registered drift/tolerance rules against the depth
-    ladder of one dichotomy run.  Each rule is binding."""
-    checks = []
-    for side in ("upper", "lower"):
-        rule = rules.get(side)
-        if not rule:
-            continue
-        med = [s[f"median_{'up' if side == 'upper' else 'low'}"] for s in summaries]
-        target = rule.get("target")
-        if isinstance(target, str):
-            target = targets[target]
-        drift = rule.get("drift")
-        if target is None and (drift == "toward" or rule.get("final_distance_max") is not None):
-            raise GapdimsError(f"{side} rule measures distance but has no target")
-        if target is not None:
-            dist = [abs(v - target) for v in med]
-        if drift not in (None, "toward", "increasing", "non-increasing"):
-            raise GapdimsError(f"unknown {side} drift {drift!r}")
-        if drift == "toward":
-            ok = all(d2 < d1 for d1, d2 in zip(dist, dist[1:]))
-            checks.append({"check": f"{side} drift toward {target:.6f}",
-                           "distances": dist, "pass": ok})
-        elif drift == "increasing":
-            ok = all(v2 > v1 for v1, v2 in zip(med, med[1:]))
-            checks.append({"check": f"{side} medians strictly increasing",
-                           "medians": med, "pass": ok})
-        elif drift == "non-increasing":
-            ok = all(v2 <= v1 for v1, v2 in zip(med, med[1:]))
-            checks.append({"check": f"{side} medians non-increasing",
-                           "medians": med, "pass": ok})
-        if rule.get("final_distance_max") is not None:
-            ok = dist[-1] <= rule["final_distance_max"]
-            checks.append({"check": f"{side} final distance <= {rule['final_distance_max']}",
-                           "value": dist[-1], "pass": ok})
-        if rule.get("final_min") is not None:
-            ok = med[-1] > rule["final_min"]
-            checks.append({"check": f"{side} final median > {rule['final_min']}",
-                           "value": med[-1], "pass": ok})
-        if rule.get("final_max") is not None:
-            ok = med[-1] <= rule["final_max"]
-            checks.append({"check": f"{side} final median <= {rule['final_max']}",
-                           "value": med[-1], "pass": ok})
-    if rules.get("sandwich"):
-        bad = sum(s["sandwich_violations"] for s in summaries)
-        checks.append({"check": "per-trial sandwich lower <= box <= upper (0.05 slack)",
-                       "violations": bad, "pass": bad == 0})
-    return checks
-
-
-def run_manifest(manifest: dict, workers: int = 1) -> dict:
-    a = GapSequence.from_config(manifest["sequence"])
-    master_seed = manifest["master_seed"]
-    results = []
-    for entry in manifest["experiments"]:
-        kind = entry.get("kind", "dichotomy")
-        if kind == "dichotomy":
-            f = make_dimension_function(**entry["dimension_function"])
-            rep = experiments.run_dichotomy_experiment(
-                a, f, manifest["w"], manifest["trials"], master_seed,
-                policies=_policies_from_manifest(entry.get("policies")),
-                workers=workers)
-            record = rep.to_record()
-            checks = check_thresholds(entry.get("thresholds", {}),
-                                      record["depths"], record["targets"])
-        elif kind == "max_load":
-            record = experiments.max_load_statistic(
-                a, entry["w"], entry["n"], entry["phi_n"],
-                manifest["trials"], master_seed)
-            checks = [{"check": f"freq(M_n > K_n) >= {entry['min_frequency']}",
-                       "value": record["frequency"],
-                       "pass": record["frequency"] >= entry["min_frequency"]}]
-        elif kind == "empty_bin":
-            record = experiments.empty_bin_probability(
-                entry["n_bins_log2"], entry["balls"],
-                manifest["trials"], master_seed)
-            checks = [{"check": f"empty-bin frequency >= {entry['min_frequency']}",
-                       "value": record["frequency"],
-                       "pass": record["frequency"] >= entry["min_frequency"]}]
-        elif kind == "interval_length":
-            record = experiments.interval_length_lemma_check(
-                a, entry["w"], entry["n"], manifest["trials"], master_seed)
-            checks = [{"check": f"within-bound frequency >= {entry['min_frequency']}",
-                       "value": record["frequency"],
-                       "pass": record["frequency"] >= entry["min_frequency"]}]
-        else:
-            raise GapdimsError(f"unknown experiment kind {kind!r}")
-        results.append({"name": entry.get("name", kind), "kind": kind,
-                        "report": record, "checks": checks,
-                        "pass": all(c["pass"] for c in checks)})
-    return {"manifest": manifest, "results": results,
-            "pass": all(r["pass"] for r in results)}
-
-
 def cmd_experiment(args) -> int:
     with open(args.manifest) as fh:
         manifest = json.load(fh)
-    outcome = run_manifest(manifest, workers=args.workers or 1)
+    outcome = experiments.run_manifest(manifest, workers=args.workers or 1)
     write_json(out_path("", "json", args), outcome)
-    rows = []
-    for res in outcome["results"]:
-        if res["kind"] == "dichotomy":
-            for depth in res["report"]["depths"]:
-                for t in depth["trials"]:
-                    rows.append((res["name"], depth["depth"], t["trial_id"],
-                                 t["seed"], t["beta_up"], t["beta_low"]))
+    rows = [(res["name"], depth["depth"], t["trial_id"], t["seed"], t["beta_up"], t["beta_low"])
+            for res in outcome["results"] if res["kind"] == "dichotomy"
+            for depth in res["report"]["depths"] for t in depth["trials"]]
     if rows:
         write_csv(out_path("trials", "csv", args),
                   ["name", "depth", "trial_id", "seed", "beta_up", "beta_low"], rows)
@@ -349,8 +248,9 @@ def build_parser() -> argparse.ArgumentParser:
                                   formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--config", help="JSON config file; flags override its keys")
+    def common(p, config=True):
+        if config:
+            p.add_argument("--config", help="JSON config file; flags override its keys")
         p.add_argument("--out", help="output basename (or absolute path prefix)")
 
     p = sub.add_parser("dims", help="formula dimensions of the rule-based set")
@@ -379,12 +279,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("experiment", help="run a manifest of seeded experiments")
     p.add_argument("--manifest", required=True)
     p.add_argument("--workers", type=int)
-    common(p); p.set_defaults(func=cmd_experiment)
+    common(p, config=False); p.set_defaults(func=cmd_experiment)
 
     p = sub.add_parser("tailcheck", help="exact binomial tails vs bounds")
     p.add_argument("--grid", help="'default' or comma list of M:N pairs")
     p.add_argument("--eta", type=float)
-    common(p); p.set_defaults(func=cmd_tailcheck)
+    common(p, config=False); p.set_defaults(func=cmd_tailcheck)
     return top
 
 
@@ -392,10 +292,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except GapdimsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (GapdimsError, OSError, ValueError) as exc:   # ValueError: malformed JSON or numbers
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -21,13 +21,13 @@ set at the scales in play.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from . import rng
 from .dimfuncs import DepthTable, DimensionFunction
-from .errors import InvalidRangeError, NoAdmissibleWindowError, TruncationViolationError
+from .errors import InvalidRangeError, NoAdmissibleWindowError, TruncationViolationError, check_keys
 from .randmodel import ApproxSet
 from .sequences import LevelProfile
 
@@ -142,23 +142,14 @@ class WindowPolicy:
             raise InvalidRangeError("radius_shrink outside [0, 1e-3)")
 
     def to_config(self) -> dict:
-        return {
-            "n_values": list(self.n_values) if self.n_values is not None else None,
-            "auto_n_count": self.auto_n_count,
-            "n_spread": self.n_spread,
-            "k_min": self.k_min,
-            "k_max": self.k_max,
-            "k_auto": self.k_auto,
-            "span_levels_max": self.span_levels_max,
-            "max_centers": self.max_centers,
-            "center_seed": self.center_seed,
-            "margin_radius": self.margin_radius,
-            "radius_shrink": self.radius_shrink,
-        }
+        cfg = asdict(self)
+        cfg["n_values"] = None if self.n_values is None else list(self.n_values)
+        return cfg
 
     @staticmethod
     def from_config(cfg: dict) -> "WindowPolicy":
-        cfg = dict(cfg)
+        cfg = dict(check_keys(cfg, "window policy",
+                              optional=[f.name for f in fields(WindowPolicy)]))
         if cfg.get("n_values") is not None:
             cfg["n_values"] = tuple(cfg["n_values"])
         return WindowPolicy(**cfg)

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InsufficientDepthError, OutOfDomainError
+from .errors import InsufficientDepthError, OutOfDomainError, check_keys
 from .sequences import LevelProfile
 
 _FAMILIES = ("zero", "constant", "inverse-log", "psi", "scaled-psi", "power-log", "tabulated")
@@ -88,7 +88,8 @@ class DimensionFunction:
 
     @staticmethod
     def from_config(cfg: dict) -> "DimensionFunction":
-        return make_dimension_function(cfg["family"], cfg.get("param"), cfg.get("grid"))
+        return make_dimension_function(
+            **check_keys(cfg, "dimension function", ("family",), ("param", "grid")))
 
 
 def make_dimension_function(family: str, param=None, grid=None) -> DimensionFunction:
@@ -121,11 +122,6 @@ def _check_monotone(f: DimensionFunction) -> None:
     # as L grows (x decreases) h must not increase
     if np.any(np.diff(h) > 1e-12 * np.abs(h[1:])):
         raise OutOfDomainError(f"{f.family} violates the x^(1+f(x)) monotonicity law")
-
-
-def eval_phi(f: DimensionFunction, x: float) -> float:
-    """Phi(x) for a single point, with domain checking."""
-    return float(f(x))
 
 
 @dataclass(frozen=True)

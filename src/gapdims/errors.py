@@ -1,4 +1,4 @@
-"""Exception hierarchy shared by all gapdims modules."""
+"""Exception hierarchy and the config-key check shared by all gapdims modules."""
 
 
 class GapdimsError(Exception):
@@ -47,3 +47,17 @@ class OutOfRegimeError(GapdimsError):
 
 class NotLevelComparableError(GapdimsError):
     """An experiment requires a level comparable sequence and got none."""
+
+
+def check_keys(cfg, what: str, required=(), optional=()) -> dict:
+    """Return ``cfg`` if it is a dict holding every ``required`` key and no
+    key outside ``required`` and ``optional``; raise GapdimsError otherwise."""
+    if not isinstance(cfg, dict):
+        raise GapdimsError(f"{what} must be a JSON object, got {type(cfg).__name__}")
+    unknown = sorted(set(cfg) - {*required, *optional})
+    if unknown:
+        raise GapdimsError(f"unknown key(s) in {what}: {', '.join(map(repr, unknown))}")
+    missing = [key for key in required if key not in cfg]
+    if missing:
+        raise GapdimsError(f"missing key(s) in {what}: {', '.join(map(repr, missing))}")
+    return cfg

@@ -4,6 +4,8 @@ Every experiment is a pure function of its configuration and a master
 seed: per-trial seeds are derived from the master by a fixed mixing
 rule, results are aggregated in trial order, and reports serialize with
 sorted keys, so re-runs (serial or thread-parallel) are byte-identical.
+`run_manifest` checks a whole manifest of them, then runs each one and
+evaluates its binding checks.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from scipy.special import gammaln, logsumexp
@@ -22,9 +24,11 @@ from .covering import WindowPolicy, estimate_dimension
 from .dimfuncs import DimensionFunction, depth_function
 from .errors import (
     DepthUnsupportedError,
+    GapdimsError,
     InvalidRangeError,
     NotLevelComparableError,
     OutOfRegimeError,
+    check_keys,
 )
 from .sequences import GapSequence, LevelProfile, level_sums
 
@@ -36,6 +40,8 @@ _LN2 = math.log(2.0)
 
 
 LOAD_CUTOFF_A = 0.5   # empty-interval depth extension phi(n) + floor(A ln n)
+# reference values of a dichotomy report, by name, that threshold rules may target
+TARGETS = ("formula_upper", "formula_lower", "box", "small_regime_upper", "small_regime_lower")
 
 
 @dataclass(frozen=True)
@@ -55,16 +61,9 @@ class TrialStats:
     epsilon_n: float | None = None
 
     def to_record(self) -> dict:
-        rec = {"trial_id": self.trial_id, "seed": self.seed}
-        for key, val in (("beta_up", self.beta_up), ("beta_low", self.beta_low),
-                         ("M_n", self.m_n), ("K_n", self.k_n),
-                         ("empty_bin", self.empty_bin),
-                         ("max_len_n", self.max_len_n),
-                         ("len_bound_n", self.len_bound_n),
-                         ("epsilon_n", self.epsilon_n)):
-            if val is not None:
-                rec[key] = val
-        return rec
+        names = {"m_n": "M_n", "k_n": "K_n"}
+        return {names.get(key, key): val for key, val in asdict(self).items()
+                if val is not None}
 
 
 @dataclass(frozen=True)
@@ -207,13 +206,9 @@ def run_dichotomy_experiment(
         ))
 
     n_formula = min(p.n_max, 2 * n_levels // 3)
-    targets = {
-        "formula_upper": upper_phi_dim_formula(p, d, n_formula).beta_limit,
-        "formula_lower": lower_phi_dim_formula(p, d, n_formula).beta_limit,
-        "box": box,
-        "small_regime_upper": 1.0,
-        "small_regime_lower": 0.0,
-    }
+    targets = dict(zip(TARGETS, (upper_phi_dim_formula(p, d, n_formula).beta_limit,
+                                 lower_phi_dim_formula(p, d, n_formula).beta_limit,
+                                 box, 1.0, 0.0)))
     config = {
         "sequence": a.to_config(),
         "dimension_function": f.to_config(),
@@ -225,6 +220,16 @@ def run_dichotomy_experiment(
     }
     return ExperimentReport(kind="dichotomy", config=config, master_seed=master_seed,
                             summaries=tuple(summaries), targets=targets)
+
+
+def policies_from_config(cfg: dict, w: int) -> dict[int, tuple[WindowPolicy, WindowPolicy]]:
+    """Read back a report's ``config["policies"]``: {str(depth): [upper, lower]}
+    for exactly the ladder depths W-6, W-3, W."""
+    depths = (w - 6, w - 3, w)
+    check_keys(cfg, f"policies for depths {depths}", [str(depth) for depth in depths])
+    if any(not isinstance(pair, list) or len(pair) != 2 for pair in cfg.values()):
+        raise GapdimsError("each depth's policies must be an [upper, lower] pair")
+    return {depth: tuple(map(WindowPolicy.from_config, cfg[str(depth)])) for depth in depths}
 
 
 # ---------------------------------------------------------------------------
@@ -265,14 +270,12 @@ def max_load_statistic(
     ext = phi_n + math.floor(LOAD_CUTOFF_A * math.log(n))
     loads = np.empty(trials, dtype=np.int64)
     rows = []
+    bounds = (2 ** n, 2 ** (n + phi_n)) + ((2 ** (n + ext),) if w >= n + ext else ())
     for t in range(trials):
         seed = trial_seed(master_seed, t)
-        counts = randmodel.slot_counts(seed, w, n, 2 ** n, 2 ** (n + phi_n))
-        loads[t] = counts.max()
-        empty = None
-        if w >= n + ext:
-            wide = randmodel.slot_counts(seed, w, n, 2 ** n, 2 ** (n + ext))
-            empty = bool(wide.min() == 0)
+        counts = randmodel.slot_counts(seed, w, n, bounds)
+        loads[t] = counts[0].max()
+        empty = bool(counts[1].min() == 0) if len(counts) > 1 else None
         rows.append(TrialStats(trial_id=t, seed=seed, m_n=int(loads[t]),
                                k_n=k_n, empty_bin=empty))
     hist_vals, hist_counts = np.unique(loads, return_counts=True)
@@ -394,17 +397,9 @@ class TailCheck:
     skip_reason: str | None = None
 
     def to_record(self) -> dict:
-        return {
-            "M": self.m, "N": self.n, "eta": self.eta, "Mp": self.mp,
-            "exact_two_sided_tail": self.exact_two_sided_tail,
-            "exact_upper_tail": self.exact_upper_tail,
-            "exact_lower_tail": self.exact_lower_tail,
-            "dml_bound": self.dml_bound,
-            "corollary_bound": self.corollary_bound,
-            "in_hypothesis": self.in_hypothesis,
-            "corollary_in_hypothesis": self.corollary_in_hypothesis,
-            "skip_reason": self.skip_reason,
-        }
+        rec = asdict(self)
+        rec.update(M=rec.pop("m"), N=rec.pop("n"), Mp=rec.pop("mp"))
+        return rec
 
 
 def _log_binom_pmf(m: int, p: float, ks: np.ndarray) -> np.ndarray:
@@ -465,3 +460,144 @@ def binomial_tail_check(grid: list[tuple[int, int]], eta: float) -> list[TailChe
             corollary_in_hypothesis=mp >= 200.0,
         ))
     return out
+
+
+# ---------------------------------------------------------------------------
+# manifests
+
+
+SIDES = ("upper", "lower")
+DRIFTS = ("toward", "increasing", "non-increasing")
+# final-value rules, in check order: (label, measured on distances?, passes)
+FINAL_RULES = {
+    "final_distance_max": ("final distance <=", True, lambda v, bound: v <= bound),
+    "final_min": ("final median >", False, lambda v, bound: v > bound),
+    "final_max": ("final median <=", False, lambda v, bound: v <= bound),
+}
+
+
+def validate_thresholds(rules: dict) -> dict:
+    """``rules`` with null values dropped (null means absent); raises
+    GapdimsError unless they are well formed and define a check."""
+    check_keys(rules, "thresholds", optional=(*SIDES, "sandwich"))
+    out = {"sandwich": bool(rules.get("sandwich"))}
+    for side in SIDES:
+        if rules.get(side) is None:
+            continue
+        check_keys(rules[side], f"{side} rule", optional=("drift", "target", *FINAL_RULES))
+        rule = {key: val for key, val in rules[side].items() if val is not None}
+        drift, target = rule.get("drift"), rule.get("target")
+        if drift is not None and drift not in DRIFTS:
+            raise GapdimsError(f"unknown {side} drift {drift!r}; expected one of {DRIFTS}")
+        if target is None and (drift == "toward" or "final_distance_max" in rule):
+            raise GapdimsError(f"{side} rule measures distance but has no target")
+        if target not in (None, *TARGETS) and not isinstance(target, (int, float)):
+            raise GapdimsError(f"unknown {side} target {target!r}; expected a number or {TARGETS}")
+        if not set(rule) - {"target"}:
+            raise GapdimsError(f"{side} rule defines no check")
+        out[side] = rule
+    if out == {"sandwich": False}:
+        raise GapdimsError("thresholds define no check")
+    return out
+
+
+def check_thresholds(rules: dict, summaries: list[dict], targets: dict) -> list[dict]:
+    """Evaluate drift/tolerance rules, as returned by `validate_thresholds`,
+    against the depth ladder of one dichotomy run.  Each rule is binding."""
+    checks = []
+    for side in SIDES:
+        rule = rules.get(side, {})
+        med = [s[f"median_{'up' if side == 'upper' else 'low'}"] for s in summaries]
+        target = rule.get("target")
+        target = targets[target] if isinstance(target, str) else target
+        dist = None if target is None else [abs(v - target) for v in med]
+        drift = rule.get("drift")
+        if drift == "toward":
+            checks.append({"check": f"{side} drift toward {target:.6f}", "distances": dist,
+                           "pass": all(d2 < d1 for d1, d2 in zip(dist, dist[1:]))})
+        elif drift == "increasing":
+            checks.append({"check": f"{side} medians strictly increasing", "medians": med,
+                           "pass": all(v2 > v1 for v1, v2 in zip(med, med[1:]))})
+        elif drift == "non-increasing":
+            checks.append({"check": f"{side} medians non-increasing", "medians": med,
+                           "pass": all(v2 <= v1 for v1, v2 in zip(med, med[1:]))})
+        for key, (label, on_dist, passes) in FINAL_RULES.items():
+            if key in rule:
+                value = (dist if on_dist else med)[-1]
+                checks.append({"check": f"{side} {label} {rule[key]}", "value": value,
+                               "pass": passes(value, rule[key])})
+    if rules.get("sandwich"):
+        bad = sum(s["sandwich_violations"] for s in summaries)
+        checks.append({"check": "per-trial sandwich lower <= box <= upper (0.05 slack)",
+                       "violations": bad, "pass": bad == 0})
+    return checks
+
+
+# kind -> (run(sequence, manifest, parsed entry, workers) -> report record, required entry
+# keys, other allowed entry keys, label of the frequency >= min_frequency check or None for
+# threshold rules).  Each lambda looks its experiment up when called, so a rebound module
+# function (such as a tracer's wrapper) is the one that runs.
+MANIFEST_KINDS = {
+    "dichotomy": (lambda a, m, e, workers: run_dichotomy_experiment(
+                      a, e["dimension_function"], m["w"], m["trials"], m["master_seed"],
+                      policies=e.get("policies"), workers=workers).to_record(),
+                  ("dimension_function", "thresholds"), ("policies",), None),
+    "max_load": (lambda a, m, e, workers: max_load_statistic(
+                     a, e["w"], e["n"], e["phi_n"], m["trials"], m["master_seed"]),
+                 ("w", "n", "phi_n", "min_frequency"), (), "freq(M_n > K_n)"),
+    "empty_bin": (lambda a, m, e, workers: empty_bin_probability(
+                      e["n_bins_log2"], e["balls"], m["trials"], m["master_seed"]),
+                  ("n_bins_log2", "balls", "min_frequency"), (), "empty-bin frequency"),
+    "interval_length": (lambda a, m, e, workers: interval_length_lemma_check(
+                            a, e["w"], e["n"], m["trials"], m["master_seed"]),
+                        ("w", "n", "min_frequency"), (), "within-bound frequency"),
+}
+
+
+def validate_manifest(manifest: dict) -> tuple[GapSequence, list[tuple[str, str, dict]]]:
+    """The manifest's sequence and one (name, kind, parsed entry) per
+    experiment; raises GapdimsError on any malformed part."""
+    check_keys(manifest, "manifest", ("sequence", "trials", "master_seed", "experiments"),
+               ("w", "name", "schema_version"))
+    a = GapSequence.from_config(manifest["sequence"])
+    if not isinstance(manifest["experiments"], list) or not manifest["experiments"]:
+        raise GapdimsError("manifest 'experiments' must be a non-empty list")
+    plan = []
+    for i, entry in enumerate(manifest["experiments"]):
+        kind = entry.get("kind", "dichotomy") if isinstance(entry, dict) else None
+        if kind not in tuple(MANIFEST_KINDS):   # a tuple: an unhashable kind is just unknown
+            raise GapdimsError(f"experiments[{i}] must be an object whose kind is one of "
+                               f"{tuple(MANIFEST_KINDS)}")
+        _, required, optional, _ = MANIFEST_KINDS[kind]
+        parsed = dict(check_keys(entry, f"experiments[{i}]", required,
+                                 ("kind", "name", *optional)))
+        if kind == "dichotomy":
+            if "w" not in manifest:
+                raise GapdimsError("a dichotomy entry needs the manifest's 'w'")
+            parsed["dimension_function"] = DimensionFunction.from_config(
+                entry["dimension_function"])
+            parsed["thresholds"] = validate_thresholds(entry["thresholds"])
+            if entry.get("policies") is not None:
+                parsed["policies"] = policies_from_config(entry["policies"], manifest["w"])
+        plan.append((entry.get("name", kind), kind, parsed))
+    return a, plan
+
+
+def run_manifest(manifest: dict, workers: int = 1) -> dict:
+    """Validate a whole manifest, then run its experiments in order and
+    evaluate every binding check; ``workers`` threads run dichotomy trials.
+    Malformed input raises GapdimsError before the first trial."""
+    a, plan = validate_manifest(manifest)
+    results = []
+    for name, kind, entry in plan:
+        run, _, _, label = MANIFEST_KINDS[kind]
+        record = run(a, manifest, entry, workers)
+        if label is None:
+            checks = check_thresholds(entry["thresholds"], record["depths"], record["targets"])
+        else:
+            freq, least = record["frequency"], entry["min_frequency"]
+            checks = [{"check": f"{label} >= {least}", "value": freq, "pass": freq >= least}]
+        results.append({"name": name, "kind": kind, "report": record, "checks": checks,
+                        "pass": all(c["pass"] for c in checks)})
+    return {"manifest": manifest, "results": results,
+            "pass": all(r["pass"] for r in results)}

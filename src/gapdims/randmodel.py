@@ -43,12 +43,6 @@ def sample_order(seed: int, w: int) -> np.ndarray:
     return np.argsort(omega, kind="stable") + 1
 
 
-def omega_labels(seed: int, w: int) -> np.ndarray:
-    """Uniform labels omega_j for j = 1..2^W-1 (omega[j-1] is gap j's label)."""
-    _check_depth(w)
-    return rng.uniforms(seed, 1, 2 ** w)
-
-
 def _cantor_positions(w: int) -> np.ndarray:
     """In-order traversal position of each heap-indexed gap.
 
@@ -73,19 +67,12 @@ class ApproxSet:
     order: np.ndarray                # order[p] = gap index at position p
     gap_left: np.ndarray             # left endpoint of gap order[p]
     gap_len: np.ndarray              # length of gap order[p]
-    slot_left: np.ndarray            # left endpoint of slot p, p = 0..2^W-1
     slot_mass: np.ndarray            # length of slot p
     _interval_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def n_gaps(self) -> int:
         return 2 ** self.w - 1
-
-    def position_of(self) -> np.ndarray:
-        """Inverse of ``order``: pos[j - 1] = left-to-right position of gap j."""
-        pos = np.empty(self.n_gaps, dtype=np.int64)
-        pos[self.order - 1] = np.arange(self.n_gaps)
-        return pos
 
     def level_intervals(self, n: int) -> tuple[np.ndarray, np.ndarray]:
         """The 2^n closed components of [0,1] minus the gaps of index < 2^n.
@@ -118,16 +105,6 @@ class ApproxSet:
         lefts, rights = self.solid_segments()
         return 2.0 * float(np.max(rights - lefts))
 
-    def gap_counts_in_level_intervals(self, n: int, level: int) -> np.ndarray:
-        """Number of level-``level`` gaps inside each level-n interval."""
-        if not n < level <= self.w:
-            raise DepthUnsupportedError(f"need n < level <= W, got n={n}, level={level}")
-        lefts, _ = self.level_intervals(n)
-        at_level = (self.order >= 2 ** (level - 1)) & (self.order < 2 ** level)
-        mids = self.gap_left[at_level] + 0.5 * self.gap_len[at_level]
-        slot = np.searchsorted(lefts, mids, side="right") - 1
-        return np.bincount(slot, minlength=2 ** n)
-
     def export_table(self) -> dict:
         """Plain-array dump of the arrangement (for CSV/JSON output)."""
         return {
@@ -142,11 +119,9 @@ def _assemble(sequence: GapSequence, w: int, arrangement: str, seed: int | None,
     gap_len = sequence.gap_lengths(order)
     # slot p | gap p | slot p+1 | gap p+1 | ... ; endpoints by prefix sums
     gap_left = np.cumsum(slot_mass[:-1]) + np.concatenate([[0.0], np.cumsum(gap_len[:-1])])
-    slot_left = np.concatenate([[0.0], gap_left + gap_len])
     return ApproxSet(
         sequence=sequence, w=w, arrangement=arrangement, seed=seed,
-        order=order, gap_left=gap_left, gap_len=gap_len,
-        slot_left=slot_left, slot_mass=slot_mass,
+        order=order, gap_left=gap_left, gap_len=gap_len, slot_mass=slot_mass,
     )
 
 
@@ -189,27 +164,20 @@ def build_set(sequence: GapSequence, w: int, arrangement: str, seed: int | None 
     return _assemble(sequence, w, arrangement, seed, order, slot_mass)
 
 
-def slot_counts(seed: int, w: int, n: int, lo: int, hi: int) -> np.ndarray:
-    """Number of gaps with index in [lo, hi) per level-n interval.
+def slot_counts(seed: int, w: int, n: int, bounds: tuple[int, ...]) -> np.ndarray:
+    """Row i: number of gaps with index in [b_0, b_(i+1)) per level-n
+    interval, for non-decreasing ``bounds`` b_0 <= b_1 <= ..., from one label draw.
 
-    Same law as bincounting `rank_slots`, but both sides are sorted
-    before ranking, which is much faster at depth 20+.
+    A deep gap's level-n interval is the rank of its label among the
+    shallow labels omega_j (j < 2^n), so no geometry is built; both sides
+    are sorted before ranking, each range [b_i, b_(i+1)) once.
     """
     _check_depth(w)
     omega = rng.uniforms(seed, 1, 2 ** w)
     shallow = np.sort(omega[: 2 ** n - 1])
-    deep = np.sort(omega[lo - 1 : hi - 1])
-    ranks = np.searchsorted(deep, shallow, side="right")
-    return np.diff(np.concatenate(([0], ranks, [deep.size])))
-
-
-def rank_slots(seed: int, w: int, n: int, indices: np.ndarray) -> np.ndarray:
-    """Level-n interval index of each given gap, via label ranks only.
-
-    Gap j lands in the level-n interval whose index equals the count of
-    shallow labels omega_i (i < 2^n) below omega_j; no geometry needed.
-    """
-    _check_depth(w)
-    omega = rng.uniforms(seed, 1, 2 ** w)
-    shallow = np.sort(omega[: 2 ** n - 1])
-    return np.searchsorted(shallow, omega[np.asarray(indices) - 1], side="right")
+    rows = []
+    for lo, hi in zip(bounds, bounds[1:]):
+        deep = np.sort(omega[lo - 1 : hi - 1])
+        ranks = np.searchsorted(deep, shallow, side="right")
+        rows.append(np.diff(ranks, prepend=0, append=deep.size))
+    return np.cumsum(rows, axis=0)

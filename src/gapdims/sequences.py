@@ -35,6 +35,7 @@ from .errors import (
     InvalidRatioError,
     NotDecreasingError,
     NotNormalizedError,
+    check_keys,
 )
 
 MAX_RULE_LEVEL = 400
@@ -102,12 +103,6 @@ class GapSequence:
             return np.concatenate([[0.0], np.cumsum(np.log(r))])
         return np.log(self._explicit_level_sums(n_max))
 
-    def level_sums_array(self, n_max: int) -> np.ndarray:
-        """s_0 .. s_{n_max} (may underflow to 0 at extreme depth; use logs)."""
-        if self.rule_based:
-            return np.exp(self.log_level_sums(n_max))
-        return self._explicit_level_sums(n_max)
-
     def _explicit_level_sums(self, n_max: int) -> np.ndarray:
         if 2 ** n_max > len(self.gaps):
             raise InsufficientDepthError(
@@ -157,7 +152,8 @@ class GapSequence:
 
     @staticmethod
     def from_config(cfg: dict) -> "GapSequence":
-        return make_sequence(**cfg)
+        return make_sequence(
+            **check_keys(cfg, "sequence", ("kind",), ("ratios", "gaps", "schedule")))
 
 
 def make_sequence(
@@ -165,7 +161,6 @@ def make_sequence(
     ratios=None,
     gaps=None,
     schedule: str = "constant",
-    **_ignored,
 ) -> GapSequence:
     """Validating factory for gap sequences.
 

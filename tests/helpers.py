@@ -1,0 +1,53 @@
+"""Test-side views of the random model that the package itself never needs.
+
+Each one recomputes a quantity from the public fields of an arrangement
+or from the label stream, so tests can cross-check the package's
+shortcuts against plain geometry.
+"""
+
+import numpy as np
+
+from gapdims import rng
+
+
+def omega_labels(seed: int, w: int) -> np.ndarray:
+    """Uniform labels omega_j for j = 1..2^W-1 (omega[j-1] is gap j's label)."""
+    return rng.uniforms(seed, 1, 2 ** w)
+
+
+def position_of(s) -> np.ndarray:
+    """Inverse of ``s.order``: pos[j - 1] = left-to-right position of gap j."""
+    pos = np.empty(s.n_gaps, dtype=np.int64)
+    pos[s.order - 1] = np.arange(s.n_gaps)
+    return pos
+
+
+def slot_left(s) -> np.ndarray:
+    """Left endpoint of slot p, p = 0..2^W-1: 0, then the right end of each gap."""
+    return np.concatenate([[0.0], s.gap_left + s.gap_len])
+
+
+def eval_phi(f, x: float) -> float:
+    """Phi(x) for a single point, with domain checking."""
+    return float(f(x))
+
+
+def rank_slots(seed: int, w: int, n: int, indices) -> np.ndarray:
+    """Level-n interval index of each given gap, via label ranks only.
+
+    Gap j lands in the level-n interval whose index equals the count of
+    shallow labels omega_i (i < 2^n) below omega_j; no geometry needed.
+    """
+    omega = omega_labels(seed, w)
+    shallow = np.sort(omega[: 2 ** n - 1])
+    return np.searchsorted(shallow, omega[np.asarray(indices) - 1], side="right")
+
+
+def gap_counts_in_level_intervals(s, n: int, level: int) -> np.ndarray:
+    """Number of level-``level`` gaps inside each level-n interval, from geometry."""
+    assert n < level <= s.w
+    lefts, _ = s.level_intervals(n)
+    at_level = (s.order >= 2 ** (level - 1)) & (s.order < 2 ** level)
+    mids = s.gap_left[at_level] + 0.5 * s.gap_len[at_level]
+    slot = np.searchsorted(lefts, mids, side="right") - 1
+    return np.bincount(slot, minlength=2 ** n)

@@ -27,10 +27,10 @@ from gapdims import (
     make_sequence,
     max_load_statistic,
     run_dichotomy_experiment,
+    run_manifest,
     sample_order,
     upper_phi_dim_formula,
 )
-from gapdims.cli import run_manifest
 from gapdims.covering import WindowPolicy
 from gapdims.rng import derive_seed
 

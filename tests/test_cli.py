@@ -6,8 +6,7 @@ import math
 
 import pytest
 
-from gapdims import GapdimsError
-from gapdims.cli import check_thresholds, main, parse_phi, parse_sequence
+from gapdims.cli import main, parse_phi, parse_sequence
 
 
 @pytest.fixture
@@ -86,7 +85,21 @@ def test_estimate_command_and_rerun_identical(outdir):
     assert rep["upper"]["beta_hat"] == pytest.approx(want, abs=1e-6)
     with open(outdir / "e.windows-upper.csv") as fh:
         rows = list(csv.reader(fh))
-    assert rows[1] == ["n", "x", "R", "r", "N", "exponent"]
+    assert rows[1] == ["n", "k", "x", "R", "r", "N", "exponent"]
+
+
+def test_estimate_windows_csv_carries_k(outdir):
+    # r = s_(n + phi(n) + k), and phi = 0 for Phi = 0, so r = 3^-(n + k) here
+    assert main(["estimate", "--seq", "middle-third", "--w", "14", "--arrangement", "cantor",
+                 "--direction", "upper", "--out", "k"]) == 0
+    with open(outdir / "k.windows-upper.csv") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[1] == ["n", "k", "x", "R", "r", "N", "exponent"]
+    ks = {int(row[1]) for row in rows[2:]}
+    assert ks == {1, 2, 3}                     # the default policy's k range
+    for row in rows[2:]:
+        n, k, r = int(row[0]), int(row[1]), float(row[4])
+        assert r == pytest.approx(3.0 ** -(n + k), rel=1e-12)
 
 
 def test_estimate_decreasing_zero_upper_near_one(outdir):
@@ -147,36 +160,44 @@ def test_missing_required_flag(outdir, capsys):
     assert "missing required option" in capsys.readouterr().err
 
 
-LADDER = [{"median_up": 0.9, "median_low": 0.2, "sandwich_violations": 0},
-          {"median_up": 0.8, "median_low": 0.3, "sandwich_violations": 0}]
-
-
-def test_thresholds_with_target_pass_and_fail():
-    rules = {"upper": {"drift": "toward", "target": "formula_upper",
-                       "final_distance_max": 0.06}}
-    checks = check_thresholds(rules, LADDER, {"formula_upper": 0.75})
-    assert [c["pass"] for c in checks] == [True, True]
-    checks = check_thresholds(rules, LADDER, {"formula_upper": 0.95})
-    assert [c["pass"] for c in checks] == [False, False]
-
-
-@pytest.mark.parametrize("rule", [
-    {"drift": "toward"},
-    {"final_distance_max": 0.1},
-    {"drift": "toward", "final_distance_max": 0.1, "target": None},
-])
-def test_threshold_distance_rule_without_target_raises(rule):
-    with pytest.raises(GapdimsError, match="no target"):
-        check_thresholds({"lower": rule}, LADDER, {})
-
-
-def test_threshold_unknown_drift_raises():
-    # a typo must not turn the rule into zero checks that pass vacuously
-    with pytest.raises(GapdimsError, match="unknown upper drift"):
-        check_thresholds({"upper": {"drift": "decreasing"}}, LADDER, {})
-
-
 def test_estimate_has_no_workers_flag(outdir, capsys):
     with pytest.raises(SystemExit):
         main(["estimate", "--seq", "middle-third", "--w", "10", "--workers", "2"])
     assert "unrecognized arguments: --workers" in capsys.readouterr().err
+
+
+def _one_error_line(capsys) -> str:
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1 and err.startswith("error:"), err
+    return err
+
+
+def test_config_file_unknown_key_fails(outdir, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seq": "middle-third", "level": 64}))
+    assert main(["dims", "--config", str(cfg), "--out", "c"]) == 2
+    assert "'level'" in _one_error_line(capsys)
+    assert not (outdir / "c.json").exists()
+
+
+def test_config_file_not_an_object_or_not_json_fails(outdir, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    for text in ('["middle-third"]', '{"seq": "middle-third",'):
+        cfg.write_text(text)
+        assert main(["dims", "--config", str(cfg), "--out", "c"]) == 2
+        _one_error_line(capsys)
+
+
+def test_commands_without_config_reject_the_flag(outdir, tmp_path, capsys):
+    # experiment and tailcheck read no config file, so --config would be ignored
+    for argv in (["tailcheck"], ["experiment", "--manifest", "m.json"]):
+        with pytest.raises(SystemExit):
+            main(argv + ["--config", str(tmp_path / "cfg.json")])
+        assert "unrecognized arguments: --config" in capsys.readouterr().err
+
+
+def test_estimate_unknown_policy_key_fails(outdir, capsys):
+    assert main(["estimate", "--seq", "middle-third", "--w", "10", "--seed", "1",
+                 "--policy", '{"n_value": [4]}', "--out", "p"]) == 2
+    assert "'n_value'" in _one_error_line(capsys)

@@ -13,7 +13,8 @@ from gapdims import (
     make_dimension_function,
     make_sequence,
 )
-from gapdims.dimfuncs import eval_phi
+
+from helpers import eval_phi
 
 MID = make_sequence("middle-third")
 

@@ -1,6 +1,10 @@
-"""Experiment-layer tests: laws of the random model and bound checks."""
+"""Experiment-layer tests: laws of the random model, bound checks, and
+the manifest engine with its validation."""
 
+import copy
+import json
 import math
+import os
 from itertools import permutations
 
 import numpy as np
@@ -9,6 +13,7 @@ from scipy import stats
 
 from gapdims import (
     DepthUnsupportedError,
+    GapdimsError,
     OutOfRegimeError,
     WindowPolicy,
     binomial_tail_check,
@@ -18,9 +23,20 @@ from gapdims import (
     make_sequence,
     max_load_statistic,
     run_dichotomy_experiment,
+    run_manifest,
     sample_order,
 )
-from gapdims.experiments import critical_load, length_constant, trial_seed
+from gapdims import randmodel, rng
+from gapdims.cli import main
+from gapdims.experiments import (
+    TARGETS,
+    check_thresholds,
+    critical_load,
+    length_constant,
+    trial_seed,
+    validate_manifest,
+    validate_thresholds,
+)
 from gapdims.rng import derive_seed
 from gapdims.sequences import level_sums
 
@@ -203,3 +219,240 @@ def test_dichotomy_matched_seed_ordering():
 
 def test_trial_seed_is_derive_seed():
     assert trial_seed(99, 7) == derive_seed(99, 7)
+
+
+# -- manifest threshold rules ------------------------------------------------
+
+LADDER = [{"median_up": 0.9, "median_low": 0.2, "sandwich_violations": 0},
+          {"median_up": 0.8, "median_low": 0.3, "sandwich_violations": 0}]
+
+
+def test_thresholds_with_target_pass_and_fail():
+    rules = {"upper": {"drift": "toward", "target": "formula_upper",
+                       "final_distance_max": 0.06}}
+    checks = check_thresholds(rules, LADDER, {"formula_upper": 0.75})
+    assert [c["pass"] for c in checks] == [True, True]
+    checks = check_thresholds(rules, LADDER, {"formula_upper": 0.95})
+    assert [c["pass"] for c in checks] == [False, False]
+
+
+@pytest.mark.parametrize("rule", [
+    {"drift": "toward"},
+    {"final_distance_max": 0.1},
+    {"drift": "toward", "final_distance_max": 0.1, "target": None},
+])
+def test_threshold_distance_rule_without_target_raises(rule):
+    with pytest.raises(GapdimsError, match="no target"):
+        validate_thresholds({"lower": rule})
+
+
+def test_threshold_unknown_drift_raises():
+    # a typo must not turn the rule into zero checks that pass vacuously
+    with pytest.raises(GapdimsError, match="unknown upper drift"):
+        validate_thresholds({"upper": {"drift": "decreasing"}})
+
+
+def test_validated_thresholds_drop_nulls_and_evaluate_in_order():
+    rules = validate_thresholds({"upper": {"drift": "increasing", "target": None,
+                                           "final_min": 0.5, "final_max": None},
+                                 "lower": None, "sandwich": True})
+    assert rules == {"upper": {"drift": "increasing", "final_min": 0.5}, "sandwich": True}
+    checks = check_thresholds(rules, LADDER, {})
+    assert [c["check"] for c in checks] == [
+        "upper medians strictly increasing", "upper final median > 0.5",
+        "per-trial sandwich lower <= box <= upper (0.05 slack)"]
+    assert [c["pass"] for c in checks] == [False, True, True]
+
+
+def test_report_targets_are_the_validated_names():
+    rep = run_dichotomy_experiment(MID, make_dimension_function("zero"), 14, 1, 3,
+                                   small_policies())
+    assert tuple(rep.targets) == TARGETS
+
+
+# -- manifests -----------------------------------------------------------------
+
+PINNED = os.path.join(os.path.dirname(__file__), "..", "manifests",
+                      "dichotomy_middle_third.json")
+POLICY = WindowPolicy(n_values=(2,), k_min=1, k_max=1, max_centers=16).to_config()
+
+
+def small_manifest() -> dict:
+    return copy.deepcopy({
+        "schema_version": 1, "name": "small", "sequence": {"kind": "middle-third"},
+        "w": 14, "trials": 2, "master_seed": 5,
+        "experiments": [
+            {"name": "dich", "kind": "dichotomy",
+             "dimension_function": {"family": "constant", "param": 0.5},
+             "policies": {str(d): [POLICY, POLICY] for d in (8, 11, 14)},
+             "thresholds": {"upper": {"drift": "toward", "target": "formula_upper",
+                                      "final_distance_max": 0.5},
+                            "lower": {"final_max": 1.0}, "sandwich": True}},
+            {"name": "ml", "kind": "max_load", "w": 12, "n": 8, "phi_n": 2,
+             "min_frequency": 0.0},
+            {"name": "eb", "kind": "empty_bin", "n_bins_log2": 6, "balls": 64,
+             "min_frequency": 0.0},
+            {"name": "il", "kind": "interval_length", "w": 12, "n": 6, "min_frequency": 0.0},
+        ],
+    })
+
+
+def _at(manifest, path):
+    for key in path[:-1]:
+        manifest = manifest[key]
+    return manifest, path[-1]
+
+
+def put(*path, value):
+    def edit(m):
+        obj, key = _at(m, path)
+        obj[key] = value
+        return m
+    return edit
+
+
+def drop(*path):
+    def edit(m):
+        obj, key = _at(m, path)
+        del obj[key]
+        return m
+    return edit
+
+
+def rename(*path, to):
+    def edit(m):
+        obj, key = _at(m, path)
+        obj[to] = obj.pop(key)
+        return m
+    return edit
+
+
+DICH = ("experiments", 0)
+RULES = DICH + ("thresholds",)
+MALFORMED = {
+    # case: (edit of small_manifest(), error message pattern)
+    "no experiments": (put("experiments", value=[]), "non-empty list"),
+    "experiments not a list": (put("experiments", value={}), "non-empty list"),
+    "dichotomy without thresholds": (drop(*RULES), "missing key.*'thresholds'"),
+    "thresholds with no check": (put(*RULES, value={"sandwich": False}), "define no check"),
+    "empty thresholds": (put(*RULES, value={}), "define no check"),
+    "side rule with no check": (put(*RULES, "lower", value={"target": "box"}),
+                                "lower rule defines no check"),
+    "thresholds not an object": (put(*RULES, value=[]), "thresholds must be a JSON object"),
+    "misspelt side": (rename(*RULES, "upper", to="uper"), "unknown key.*'uper'"),
+    "misspelt rule key": (rename(*RULES, "lower", "final_max", to="final_mn"),
+                          "unknown key.*'final_mn'"),
+    "unknown drift": (put(*RULES, "upper", "drift", value="decreasing"),
+                      "unknown upper drift"),
+    "unknown named target": (put(*RULES, "upper", "target", value="formula_uper"),
+                             "unknown upper target"),
+    "toward without target": (drop(*RULES, "upper", "target"), "no target"),
+    "final distance without target": (put(*RULES, "lower", "final_distance_max", value=0.1),
+                                      "lower rule measures distance but has no target"),
+    "missing min_frequency": (drop("experiments", 1, "min_frequency"),
+                              "missing key.*'min_frequency'"),
+    "unknown entry key": (put("experiments", 2, "min_freq", value=0.5), "'min_freq'"),
+    "missing entry key": (drop("experiments", 3, "n"), "missing key.*'n'"),
+    "unknown kind": (put("experiments", 3, "kind", value="interval"), "kind is one of"),
+    "entry not an object": (put("experiments", 1, value="max_load"), "kind is one of"),
+    "kind not a string": (put("experiments", 1, "kind", value=["max_load"]), "kind is one of"),
+    "target not a name or number": (put(*RULES, "upper", "target", value=[0.6]),
+                                    "unknown upper target"),
+    "policies without depth 11": (drop(*DICH, "policies", "11"), "missing key.*'11'"),
+    "policies with an extra depth": (put(*DICH, "policies", "12", value=[POLICY, POLICY]),
+                                     "unknown key.*'12'"),
+    "policies for another ladder": (put("w", value=16), "policies for depths"),
+    "policy pair of one": (put(*DICH, "policies", "8", value=[POLICY]), "pair"),
+    "unknown policy key": (put(*DICH, "policies", "14", 0, "n_value", value=[4]),
+                           "window policy: 'n_value'"),
+    "unknown dimension-function key": (put(*DICH, "dimension_function", "parm", value=1),
+                                       "'parm'"),
+    "dimension function without family": (drop(*DICH, "dimension_function", "family"),
+                                          "missing key.*'family'"),
+    "unknown sequence key": (put("sequence", "ratio", value=0.3), "sequence: 'ratio'"),
+    "sequence without kind": (put("sequence", value={}), "missing key.*'kind'"),
+    "unknown top-level key": (put("trails", value=2), "manifest: 'trails'"),
+    "missing top-level key": (drop("master_seed"), "missing key.*'master_seed'"),
+    "dichotomy without the manifest's w": (drop("w"), "needs the manifest's 'w'"),
+    "manifest not an object": (lambda m: [m], "manifest must be a JSON object"),
+}
+
+
+@pytest.fixture
+def no_trials(monkeypatch):
+    """Every trial draws labels, balls or a random set; make each of them fail."""
+    def trial_ran(*args, **kwargs):
+        raise AssertionError("a trial ran before validation finished")
+    for module, name in ((randmodel, "build_set"), (rng, "uniforms"), (rng, "bin_indices")):
+        monkeypatch.setattr(module, name, trial_ran)
+
+
+def test_small_manifest_is_valid():
+    _, plan = validate_manifest(small_manifest())
+    assert [(name, kind) for name, kind, _ in plan] == [
+        ("dich", "dichotomy"), ("ml", "max_load"), ("eb", "empty_bin"),
+        ("il", "interval_length")]
+
+
+@pytest.mark.parametrize("case", list(MALFORMED))
+def test_malformed_manifest_fails_before_any_trial(case, no_trials, tmp_path,
+                                                   monkeypatch, capsys):
+    edit, message = MALFORMED[case]
+    manifest = edit(small_manifest())
+    with pytest.raises(GapdimsError, match=message):
+        run_manifest(manifest)
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(manifest))
+    monkeypatch.setenv("GAPDIMS_OUT_DIR", str(tmp_path))
+    assert main(["experiment", "--manifest", str(path), "--out", "r"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.splitlines()) == 1, err
+    assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("text", ['{"sequence": {"kind": "middle-third"},', "", "[1, 2"])
+def test_malformed_manifest_json_exits_2(text, no_trials, tmp_path, monkeypatch, capsys):
+    path = tmp_path / "m.json"
+    path.write_text(text)
+    monkeypatch.setenv("GAPDIMS_OUT_DIR", str(tmp_path))
+    assert main(["experiment", "--manifest", str(path), "--out", "r"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.splitlines()) == 1, err
+
+
+def test_pinned_manifest_passes_validation():
+    with open(PINNED) as fh:
+        manifest = json.load(fh)
+    a, plan = validate_manifest(manifest)
+    assert a.kind == "middle-third"
+    assert [(name, kind) for name, kind, _ in plan] == [
+        ("constant-0.5", "dichotomy"), ("zero", "dichotomy")]
+    for _, _, entry in plan:
+        assert sorted(entry["policies"]) == [14, 17, 20]
+        assert all(isinstance(pol, WindowPolicy)
+                   for pair in entry["policies"].values() for pol in pair)
+        assert entry["thresholds"]["sandwich"] is True
+
+
+def test_small_manifest_runs_through_library_and_cli(tmp_path, monkeypatch):
+    manifest = small_manifest()
+    outcome = run_manifest(copy.deepcopy(manifest), workers=2)
+    assert [r["name"] for r in outcome["results"]] == ["dich", "ml", "eb", "il"]
+    assert outcome["manifest"] == manifest
+    for res in outcome["results"]:
+        assert res["checks"] and res["pass"] == all(c["pass"] for c in res["checks"])
+    dich = outcome["results"][0]
+    assert [c["check"] for c in dich["checks"]] == [
+        f"upper drift toward {dich['report']['targets']['formula_upper']:.6f}",
+        "upper final distance <= 0.5", "lower final median <= 1.0",
+        "per-trial sandwich lower <= box <= upper (0.05 slack)"]
+    assert outcome["results"][1]["checks"][0]["check"] == "freq(M_n > K_n) >= 0.0"
+    # the CLI writes the library's outcome as its report
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(manifest))
+    monkeypatch.setenv("GAPDIMS_OUT_DIR", str(tmp_path))
+    assert main(["experiment", "--manifest", str(path), "--out", "r"]) == (
+        0 if outcome["pass"] else 1)
+    report = json.loads((tmp_path / "r.json").read_text())
+    assert report.pop("schema_version") == 1
+    assert report == json.loads(json.dumps(outcome))

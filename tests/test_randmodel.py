@@ -10,11 +10,17 @@ from gapdims import (
     build_set,
     level_sums,
     make_sequence,
-    rank_slots,
     sample_order,
     slot_counts,
 )
-from gapdims.randmodel import omega_labels
+
+from helpers import (
+    gap_counts_in_level_intervals,
+    omega_labels,
+    position_of,
+    rank_slots,
+    slot_left,
+)
 
 MID = make_sequence("middle-third")
 
@@ -41,7 +47,7 @@ def test_mass_invariants_all_arrangements():
         assert np.all(s.slot_mass >= 0)
         assert np.all(np.diff(s.gap_left) > 0)
         # geometry is consistent: slot p | gap p | slot p+1 ...
-        assert np.allclose(s.slot_left[:-1] + s.slot_mass[:-1], s.gap_left)
+        assert np.allclose(slot_left(s)[:-1] + s.slot_mass[:-1], s.gap_left)
 
 
 def test_cantor_arrangement_is_ternary():
@@ -63,7 +69,7 @@ def test_cantor_positions_are_in_order_traversal():
     s = build_set(MID, 4, "cantor")
     # position p holds the in-order rank-p node of the gap heap: the root
     # (gap 1) sits in the middle, gap 2 a quarter in, gap 3 three quarters in
-    pos = s.position_of()
+    pos = position_of(s)
     assert pos[0] == 7 and pos[1] == 3 and pos[2] == 11
 
 
@@ -101,7 +107,7 @@ def test_rank_slots_equals_geometry():
     deep = np.arange(2 ** n, 2 ** (n + 2))
     shortcut = rank_slots(seed, w, n, deep)
     lefts, _ = s.level_intervals(n)
-    pos = s.position_of()
+    pos = position_of(s)
     mids = s.gap_left[pos[deep - 1]] + 0.5 * s.gap_len[pos[deep - 1]]
     geometric = np.searchsorted(lefts, mids, side="right") - 1
     assert np.array_equal(shortcut, geometric)
@@ -110,14 +116,27 @@ def test_rank_slots_equals_geometry():
 def test_slot_counts_equals_bincount_of_ranks():
     w, n, seed = 12, 5, 23
     lo, hi = 2 ** n, 2 ** (n + 3)
-    fast = slot_counts(seed, w, n, lo, hi)
+    fast = slot_counts(seed, w, n, (lo, hi))
     slow = np.bincount(rank_slots(seed, w, n, np.arange(lo, hi)), minlength=2 ** n)
-    assert np.array_equal(fast, slow)
+    assert fast.shape == (1, 2 ** n)
+    assert np.array_equal(fast[0], slow)
+
+
+def test_slot_counts_nested_ranges_from_one_draw():
+    # each row counts [b_0, b_(i+1)), as if bincounting the ranks of that range
+    w, n, seed = 13, 6, 31
+    bounds = (2 ** n, 2 ** (n + 2), 2 ** (n + 2), 2 ** (n + 5))
+    rows = slot_counts(seed, w, n, bounds)
+    assert rows.shape == (3, 2 ** n)
+    for row, hi in zip(rows, bounds[1:]):
+        slow = np.bincount(rank_slots(seed, w, n, np.arange(bounds[0], hi)), minlength=2 ** n)
+        assert np.array_equal(row, slow)
+    assert np.array_equal(rows[0], rows[1])    # an empty range adds nothing
 
 
 def test_gap_counts_in_level_intervals():
     s = build_set(MID, 10, "random", seed=9)
-    counts = s.gap_counts_in_level_intervals(3, 7)
+    counts = gap_counts_in_level_intervals(s, 3, 7)
     assert counts.sum() == 2 ** 6  # all level-7 gaps land somewhere
     assert len(counts) == 2 ** 3
     # cross-check against the rank shortcut
@@ -128,7 +147,7 @@ def test_gap_counts_in_level_intervals():
 def test_cantor_deep_counts_are_uniform():
     s = build_set(MID, 10, "cantor")
     for level in (5, 8):
-        counts = s.gap_counts_in_level_intervals(3, level)
+        counts = gap_counts_in_level_intervals(s, 3, level)
         assert np.all(counts == 2 ** (level - 1 - 3))
 
 
