@@ -38,7 +38,6 @@ from .covering import (
 from .experiments import (
     ExperimentReport,
     TailCheck,
-    TrialStats,
     binomial_tail_check,
     empty_bin_probability,
     interval_length_lemma_check,
@@ -70,7 +69,6 @@ __all__ = [
     "DimensionEstimate",
     "ExperimentReport",
     "TailCheck",
-    "TrialStats",
     "WindowPolicy",
     "binomial_tail_check",
     "box_dim_estimate",

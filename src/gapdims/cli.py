@@ -197,7 +197,7 @@ def cmd_estimate(args) -> int:
 def cmd_experiment(args) -> int:
     with open(args.manifest) as fh:
         manifest = json.load(fh)
-    outcome = experiments.run_manifest(manifest, workers=args.workers or 1)
+    outcome = experiments.run_manifest(manifest, workers=args.workers)
     write_json(out_path("", "json", args), outcome)
     rows = [(res["name"], depth["depth"], t["trial_id"], t["seed"], t["beta_up"], t["beta_low"])
             for res in outcome["results"] if res["kind"] == "dichotomy"
@@ -278,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("experiment", help="run a manifest of seeded experiments")
     p.add_argument("--manifest", required=True)
-    p.add_argument("--workers", type=int)
+    p.add_argument("--workers", type=int, default=1)
     common(p, config=False); p.set_defaults(func=cmd_experiment)
 
     p = sub.add_parser("tailcheck", help="exact binomial tails vs bounds")

@@ -1,11 +1,10 @@
 """Seeded statistical experiments on random arrangements.
 
 Every experiment is a pure function of its configuration and a master
-seed: per-trial seeds are derived from the master by a fixed mixing
-rule, results are aggregated in trial order, and reports serialize with
-sorted keys, so re-runs (serial or thread-parallel) are byte-identical.
-`run_manifest` checks a whole manifest of them, then runs each one and
-evaluates its binding checks.
+seed: trial t uses ``rng.derive_seed(master_seed, t)``, trial records are
+plain dicts in trial order and reports sort their keys, so re-runs with
+any worker count are byte-identical.  `run_manifest` checks a whole
+manifest of them, then runs each one and evaluates its binding checks.
 """
 
 from __future__ import annotations
@@ -14,6 +13,7 @@ import json
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
+from numbers import Integral, Real
 
 import numpy as np
 from scipy.special import gammaln, logsumexp
@@ -35,35 +35,22 @@ from .sequences import GapSequence, LevelProfile, level_sums
 _LN2 = math.log(2.0)
 
 
+def _check_value(value, what: str, lo=-math.inf, hi=math.inf, kind=Integral) -> None:
+    """Raise InvalidRangeError unless ``value`` is a ``kind`` number (never a bool) in [lo, hi]."""
+    if isinstance(value, bool) or not isinstance(value, kind) or not lo <= value <= hi:
+        noun = "an integer" if kind is Integral else "a number"
+        raise InvalidRangeError(f"{what} must be {noun} in [{lo}, {hi}], got {value!r}")
+
+
 # ---------------------------------------------------------------------------
 # dichotomy experiment
 
 
 LOAD_CUTOFF_A = 0.5   # empty-interval depth extension phi(n) + floor(A ln n)
+N_LEVELS = 60         # profile levels behind a dichotomy run's depth function and targets
+LADDER_W = (7, randmodel.MAX_DEPTH)   # W-6, W-3 and W must all be depths build_set supports
 # reference values of a dichotomy report, by name, that threshold rules may target
 TARGETS = ("formula_upper", "formula_lower", "box", "small_regime_upper", "small_regime_lower")
-
-
-@dataclass(frozen=True)
-class TrialStats:
-    """Per-trial record; fields beyond the betas are filled only by the
-    experiments that measure them."""
-
-    trial_id: int
-    seed: int
-    beta_up: float | None = None
-    beta_low: float | None = None
-    m_n: int | None = None
-    k_n: float | None = None
-    empty_bin: bool | None = None
-    max_len_n: float | None = None
-    len_bound_n: float | None = None
-    epsilon_n: float | None = None
-
-    def to_record(self) -> dict:
-        names = {"m_n": "M_n", "k_n": "K_n"}
-        return {names.get(key, key): val for key, val in asdict(self).items()
-                if val is not None}
 
 
 @dataclass(frozen=True)
@@ -76,20 +63,11 @@ class DepthSummary:
     cantor_up: float
     cantor_low: float
     sandwich_violations: int     # trials with beta_low > box or beta_up < box (0.05 slack)
-    trials: tuple[TrialStats, ...] = field(repr=False)
+    trials: tuple[dict, ...] = field(repr=False)   # trial_id, seed, beta_up, beta_low
 
     def to_record(self) -> dict:
-        return {
-            "depth": self.depth,
-            "median_up": self.median_up,
-            "median_low": self.median_low,
-            "quartiles_up": list(self.quartiles_up),
-            "quartiles_low": list(self.quartiles_low),
-            "cantor_up": self.cantor_up,
-            "cantor_low": self.cantor_low,
-            "sandwich_violations": self.sandwich_violations,
-            "trials": [t.to_record() for t in self.trials],
-        }
+        return {**asdict(self), "quartiles_up": list(self.quartiles_up),
+                "quartiles_low": list(self.quartiles_low), "trials": list(self.trials)}
 
 
 @dataclass(frozen=True)
@@ -101,28 +79,30 @@ class ExperimentReport:
     targets: dict
 
     def to_record(self) -> dict:
-        return {
-            "schema_version": 1,
-            "kind": self.kind,
-            "config": self.config,
-            "master_seed": self.master_seed,
-            "targets": self.targets,
-            "depths": [s.to_record() for s in self.summaries],
-        }
+        return {"schema_version": 1, "kind": self.kind, "config": self.config,
+                "master_seed": self.master_seed, "targets": self.targets,
+                "depths": [s.to_record() for s in self.summaries]}
 
     def to_json(self) -> str:
         return json.dumps(self.to_record(), sort_keys=True, separators=(",", ":"))
 
 
-def trial_seed(master_seed: int, trial: int) -> int:
-    return rng.derive_seed(master_seed, trial)
+def _comparable_profile(a: GapSequence, levels: int, claim: str) -> LevelProfile:
+    p = level_sums(a, levels)
+    if not p.level_comparable:
+        raise NotLevelComparableError(f"{claim} assume a level comparable sequence")
+    return p
 
 
-def _run_trial(a, f, p, d, depth, seed, up_pol, lo_pol, trial):
-    s = randmodel.build_set(a, depth, "random", seed=seed)
-    up = estimate_dimension(s, "upper", f, p, d, up_pol).beta_hat
-    lo = estimate_dimension(s, "lower", f, p, d, lo_pol).beta_hat
-    return TrialStats(trial_id=trial, seed=seed, beta_up=up, beta_low=lo)
+def _dichotomy_profile(a: GapSequence) -> LevelProfile:
+    return _comparable_profile(a, N_LEVELS, "dichotomy theorems")
+
+
+def _betas(a, f, p, d, depth, arrangement, seed, policies) -> tuple[float, float]:
+    """(upper, lower) estimates on one arrangement at one ladder depth."""
+    s = randmodel.build_set(a, depth, arrangement, seed=seed)
+    return tuple(estimate_dimension(s, direction, f, p, d, pol).beta_hat
+                 for direction, pol in zip(("upper", "lower"), policies[depth]))
 
 
 def default_policies(regime: str, depths: tuple[int, ...]) -> dict:
@@ -159,7 +139,6 @@ def run_dichotomy_experiment(
     trials: int,
     master_seed: int,
     policies: dict[int, tuple[WindowPolicy, WindowPolicy]] | None = None,
-    n_levels: int = 60,
     workers: int = 1,
 ) -> ExperimentReport:
     """Estimate both dimensions of random arrangements along depths W-6, W-3, W.
@@ -168,32 +147,30 @@ def run_dichotomy_experiment(
     policies; these are the pre-registered knobs of the experiment.
     Depths share per-trial seeds, so a deeper set is the refinement of
     its shallower counterpart.  The cantor arrangement runs once per
-    depth as the deterministic control.
+    depth as the deterministic control.  One pool of ``workers`` threads
+    runs every task and returns the results in submission order.
     """
-    p = level_sums(a, n_levels)
-    if not p.level_comparable:
-        raise NotLevelComparableError("dichotomy theorems assume a level comparable sequence")
-    d = depth_function(f, p, n_levels - 1, clip=True)
+    _check_value(trials, "trials", 1)
+    _check_value(master_seed, "master_seed")
+    _check_value(workers, "workers", 1)
+    _check_value(w, "w", *LADDER_W)
+    p = _dichotomy_profile(a)
+    d = depth_function(f, p, N_LEVELS - 1, clip=True)
     box = box_dim_estimate(p)
     depths = (w - 6, w - 3, w)
     if policies is None:
         policies = default_policies(d.regime, depths)
-    seeds = [trial_seed(master_seed, t) for t in range(trials)]
+    seeds = [rng.derive_seed(master_seed, t) for t in range(trials)]
+    # per depth: each trial's random set, then the cantor control
+    tasks = [(depth, arrangement, seed) for depth in depths
+             for arrangement, seed in [*(("random", s) for s in seeds), ("cantor", None)]]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        betas = list(pool.map(lambda task: _betas(a, f, p, d, *task, policies), tasks))
 
     summaries = []
-    for depth in depths:
-        up_pol, lo_pol = policies[depth]
-        args = [(a, f, p, d, depth, seeds[t], up_pol, lo_pol, t) for t in range(trials)]
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                rows = list(pool.map(lambda ar: _run_trial(*ar), args))
-        else:
-            rows = [_run_trial(*ar) for ar in args]
-        ups = np.array([r.beta_up for r in rows])
-        los = np.array([r.beta_low for r in rows])
-        cset = randmodel.build_set(a, depth, "cantor")
-        c_up = estimate_dimension(cset, "upper", f, p, d, up_pol).beta_hat
-        c_lo = estimate_dimension(cset, "lower", f, p, d, lo_pol).beta_hat
+    for i, depth in enumerate(depths):
+        *rows, (c_up, c_lo) = betas[i * (trials + 1):(i + 1) * (trials + 1)]
+        ups, los = np.array(rows).T
         bad = int(np.sum((los > box + 0.05) | (ups < box - 0.05)))
         summaries.append(DepthSummary(
             depth=depth,
@@ -202,10 +179,11 @@ def run_dichotomy_experiment(
             quartiles_low=(float(np.quantile(los, 0.25)), float(np.quantile(los, 0.75))),
             cantor_up=c_up, cantor_low=c_lo,
             sandwich_violations=bad,
-            trials=tuple(rows),
+            trials=tuple({"trial_id": t, "seed": seed, "beta_up": up, "beta_low": lo}
+                         for t, (seed, (up, lo)) in enumerate(zip(seeds, rows))),
         ))
 
-    n_formula = min(p.n_max, 2 * n_levels // 3)
+    n_formula = min(p.n_max, 2 * N_LEVELS // 3)
     targets = dict(zip(TARGETS, (upper_phi_dim_formula(p, d, n_formula).beta_limit,
                                  lower_phi_dim_formula(p, d, n_formula).beta_limit,
                                  box, 1.0, 0.0)))
@@ -214,7 +192,7 @@ def run_dichotomy_experiment(
         "dimension_function": f.to_config(),
         "w": w,
         "trials": trials,
-        "n_levels": n_levels,
+        "n_levels": N_LEVELS,
         "policies": {str(depth): [up.to_config(), lo.to_config()]
                      for depth, (up, lo) in policies.items()},
     }
@@ -242,6 +220,18 @@ def critical_load(n: int, phi_n: int) -> float:
     return 2.0 * ln_bins / math.log(2 ** n * ln_bins / 2 ** (n + phi_n))
 
 
+def _check_max_load(w: int, n: int, phi_n: int) -> None:
+    _check_value(w, "w", 1, randmodel.MAX_DEPTH)
+    _check_value(n, "n", 1)
+    _check_value(phi_n, "phi_n", 1)
+    if w < n + phi_n:
+        raise DepthUnsupportedError(f"need W >= n + phi_n = {n + phi_n}, got {w}")
+    margin = 0.05
+    if 2 ** phi_n >= (n * _LN2) * (1.0 - margin):
+        raise OutOfRegimeError(
+            f"2^phi_n = {2 ** phi_n} not << ln(2^n) = {n * _LN2:.2f}")
+
+
 def max_load_statistic(
     a: GapSequence,
     w: int,
@@ -256,30 +246,23 @@ def max_load_statistic(
     Uses the label-rank shortcut: a deep gap's level-n interval is the
     rank of its label among the shallow ones, so no geometry is built.
     The cantor arrangement gives exactly 2^phi_n - 1 gaps per interval
-    (one level-(n+1) gap, two level-(n+2) gaps, and so on).
+    (one level-(n+1) gap, two level-(n+2) gaps, and so on).  Trials record
+    ``empty_bin`` when W reaches the depth n + phi_n + floor(A ln n).
     """
-    if phi_n < 1:
-        raise InvalidRangeError("phi_n must be >= 1")
-    if w < n + phi_n:
-        raise DepthUnsupportedError(f"need W >= n + phi_n = {n + phi_n}, got {w}")
-    margin = 0.05
-    if 2 ** phi_n >= (n * _LN2) * (1.0 - margin):
-        raise OutOfRegimeError(
-            f"2^phi_n = {2 ** phi_n} not << ln(2^n) = {n * _LN2:.2f}")
+    _check_max_load(w, n, phi_n)
     k_n = critical_load(n, phi_n)
     ext = phi_n + math.floor(LOAD_CUTOFF_A * math.log(n))
-    loads = np.empty(trials, dtype=np.int64)
     rows = []
     bounds = (2 ** n, 2 ** (n + phi_n)) + ((2 ** (n + ext),) if w >= n + ext else ())
     for t in range(trials):
-        seed = trial_seed(master_seed, t)
+        seed = rng.derive_seed(master_seed, t)
         counts = randmodel.slot_counts(seed, w, n, bounds)
-        loads[t] = counts[0].max()
-        empty = bool(counts[1].min() == 0) if len(counts) > 1 else None
-        rows.append(TrialStats(trial_id=t, seed=seed, m_n=int(loads[t]),
-                               k_n=k_n, empty_bin=empty))
+        rows.append({"trial_id": t, "seed": seed, "M_n": int(counts[0].max()), "K_n": k_n})
+        if len(counts) > 1:
+            rows[-1]["empty_bin"] = bool(counts[1].min() == 0)
+    loads = np.array([r["M_n"] for r in rows], dtype=np.int64)
     hist_vals, hist_counts = np.unique(loads, return_counts=True)
-    empties = [r.empty_bin for r in rows if r.empty_bin is not None]
+    empties = [r["empty_bin"] for r in rows if "empty_bin" in r]
     return {
         "schema_version": 1,
         "kind": "max_load",
@@ -293,7 +276,7 @@ def max_load_statistic(
         "cantor_load": 2 ** phi_n - 1,
         "cantor_exceeds": bool(2 ** phi_n - 1 > k_n),
         "histogram": {int(v): int(c) for v, c in zip(hist_vals, hist_counts)},
-        "trials_detail": [r.to_record() for r in rows],
+        "trials_detail": rows,
     }
 
 
@@ -301,14 +284,18 @@ def max_load_statistic(
 # empty-bin experiment
 
 
+def _check_empty_bin(n_bins_log2: int, balls: int) -> None:
+    _check_value(n_bins_log2, "n_bins_log2", 1, randmodel.MAX_DEPTH)
+    _check_value(balls, "balls", 1)
+
+
 def empty_bin_probability(n_bins_log2: int, balls: int, trials: int, master_seed: int) -> dict:
     """Frequency of at least one empty bin for iid-uniform ball placement."""
-    if n_bins_log2 < 1 or balls < 1:
-        raise InvalidRangeError("need at least one bin bit and one ball")
+    _check_empty_bin(n_bins_log2, balls)
     bins = 2 ** n_bins_log2
     hits = 0
     for t in range(trials):
-        idx = rng.bin_indices(trial_seed(master_seed, t), 0, balls, n_bins_log2)
+        idx = rng.bin_indices(rng.derive_seed(master_seed, t), 0, balls, n_bins_log2)
         occupied = np.bincount(idx, minlength=bins) > 0
         hits += int(not occupied.all())
     lam = bins * math.exp(-balls / bins)
@@ -334,6 +321,12 @@ def length_constant(p: LevelProfile) -> float:
     return float(np.max(lead / p.s[js]))
 
 
+def _interval_profile(a: GapSequence, w: int, n: int) -> LevelProfile:
+    _check_value(w, "w", 4, randmodel.MAX_DEPTH)
+    _check_value(n, "n", 2, w - 2)   # headroom below W
+    return _comparable_profile(a, max(n, 16), "the lemma's bounds")
+
+
 def interval_length_lemma_check(
     a: GapSequence,
     w: int,
@@ -342,25 +335,18 @@ def interval_length_lemma_check(
     master_seed: int,
 ) -> dict:
     """Frequency of {max level-n interval <= 3C * s_n^(1 - eps_n)}, eps_n = 4 ln n / n."""
-    if n < 2 or n + 2 > w:
-        raise InvalidRangeError("need 2 <= n <= W - 2 for headroom")
-    p = level_sums(a, max(n, 16))
-    if not p.level_comparable:
-        raise NotLevelComparableError("lemma assumes a level comparable sequence")
+    p = _interval_profile(a, w, n)
     eps_n = 4.0 * math.log(n) / n
     c = length_constant(p)
     bound = 3.0 * c * p.s[n] ** (1.0 - eps_n)
-    max_lens = np.empty(trials)
     rows = []
     for t in range(trials):
-        seed = trial_seed(master_seed, t)
-        s = randmodel.build_set(a, w, "random", seed=seed)
-        lefts, rights = s.level_intervals(n)
-        max_lens[t] = float(np.max(rights - lefts))
-        rows.append(TrialStats(trial_id=t, seed=seed, max_len_n=max_lens[t],
-                               len_bound_n=bound, epsilon_n=eps_n))
-    cset = randmodel.build_set(a, w, "cantor")
-    cl, cr = cset.level_intervals(n)
+        seed = rng.derive_seed(master_seed, t)
+        lefts, rights = randmodel.build_set(a, w, "random", seed=seed).level_intervals(n)
+        rows.append({"trial_id": t, "seed": seed, "max_len_n": float(np.max(rights - lefts)),
+                     "len_bound_n": bound, "epsilon_n": eps_n})
+    max_lens = np.array([r["max_len_n"] for r in rows])
+    cl, cr = randmodel.build_set(a, w, "cantor").level_intervals(n)
     return {
         "schema_version": 1,
         "kind": "interval_length",
@@ -373,7 +359,7 @@ def interval_length_lemma_check(
         "median_max_length": float(np.median(max_lens)),
         "cantor_max_length": float(np.max(cr - cl)),
         "cantor_within_bound": bool(np.max(cr - cl) <= bound),
-        "trials_detail": [r.to_record() for r in rows],
+        "trials_detail": rows,
     }
 
 
@@ -495,6 +481,9 @@ def validate_thresholds(rules: dict) -> dict:
             raise GapdimsError(f"unknown {side} target {target!r}; expected a number or {TARGETS}")
         if not set(rule) - {"target"}:
             raise GapdimsError(f"{side} rule defines no check")
+        for key in FINAL_RULES:
+            if key in rule:
+                _check_value(rule[key], f"{side} {key}", kind=Real)
         out[side] = rule
     if out == {"sandwich": False}:
         raise GapdimsError("thresholds define no check")
@@ -533,32 +522,40 @@ def check_thresholds(rules: dict, summaries: list[dict], targets: dict) -> list[
     return checks
 
 
-# kind -> (run(sequence, manifest, parsed entry, workers) -> report record, required entry
-# keys, other allowed entry keys, label of the frequency >= min_frequency check or None for
-# threshold rules).  Each lambda looks its experiment up when called, so a rebound module
-# function (such as a tracer's wrapper) is the one that runs.
+# kind -> (run(sequence, manifest, parsed entry, workers) -> report record, the guard the run
+# also calls (same arguments, no workers), required entry keys, other allowed keys, label of
+# the frequency >= min_frequency check or None for threshold rules).  Lambdas look their
+# experiment up when called, so a rebound module function (a tracer's wrapper) is the one run.
 MANIFEST_KINDS = {
     "dichotomy": (lambda a, m, e, workers: run_dichotomy_experiment(
                       a, e["dimension_function"], m["w"], m["trials"], m["master_seed"],
                       policies=e.get("policies"), workers=workers).to_record(),
+                  lambda a, m, e: _dichotomy_profile(a),
                   ("dimension_function", "thresholds"), ("policies",), None),
     "max_load": (lambda a, m, e, workers: max_load_statistic(
                      a, e["w"], e["n"], e["phi_n"], m["trials"], m["master_seed"]),
+                 lambda a, m, e: _check_max_load(e["w"], e["n"], e["phi_n"]),
                  ("w", "n", "phi_n", "min_frequency"), (), "freq(M_n > K_n)"),
     "empty_bin": (lambda a, m, e, workers: empty_bin_probability(
                       e["n_bins_log2"], e["balls"], m["trials"], m["master_seed"]),
+                  lambda a, m, e: _check_empty_bin(e["n_bins_log2"], e["balls"]),
                   ("n_bins_log2", "balls", "min_frequency"), (), "empty-bin frequency"),
     "interval_length": (lambda a, m, e, workers: interval_length_lemma_check(
                             a, e["w"], e["n"], m["trials"], m["master_seed"]),
+                        lambda a, m, e: _interval_profile(a, e["w"], e["n"]),
                         ("w", "n", "min_frequency"), (), "within-bound frequency"),
 }
 
 
 def validate_manifest(manifest: dict) -> tuple[GapSequence, list[tuple[str, str, dict]]]:
     """The manifest's sequence and one (name, kind, parsed entry) per
-    experiment; raises GapdimsError on any malformed part."""
+    experiment; raises GapdimsError on any malformed or refused value."""
     check_keys(manifest, "manifest", ("sequence", "trials", "master_seed", "experiments"),
                ("w", "name", "schema_version"))
+    _check_value(manifest["trials"], "trials", 1)
+    _check_value(manifest["master_seed"], "master_seed")
+    if "w" in manifest:
+        _check_value(manifest["w"], "w", *LADDER_W)
     a = GapSequence.from_config(manifest["sequence"])
     if not isinstance(manifest["experiments"], list) or not manifest["experiments"]:
         raise GapdimsError("manifest 'experiments' must be a non-empty list")
@@ -568,9 +565,11 @@ def validate_manifest(manifest: dict) -> tuple[GapSequence, list[tuple[str, str,
         if kind not in tuple(MANIFEST_KINDS):   # a tuple: an unhashable kind is just unknown
             raise GapdimsError(f"experiments[{i}] must be an object whose kind is one of "
                                f"{tuple(MANIFEST_KINDS)}")
-        _, required, optional, _ = MANIFEST_KINDS[kind]
+        _, guard, required, optional, label = MANIFEST_KINDS[kind]
         parsed = dict(check_keys(entry, f"experiments[{i}]", required,
                                  ("kind", "name", *optional)))
+        if label is not None:
+            _check_value(parsed["min_frequency"], f"experiments[{i}] 'min_frequency'", kind=Real)
         if kind == "dichotomy":
             if "w" not in manifest:
                 raise GapdimsError("a dichotomy entry needs the manifest's 'w'")
@@ -579,6 +578,7 @@ def validate_manifest(manifest: dict) -> tuple[GapSequence, list[tuple[str, str,
             parsed["thresholds"] = validate_thresholds(entry["thresholds"])
             if entry.get("policies") is not None:
                 parsed["policies"] = policies_from_config(entry["policies"], manifest["w"])
+        guard(a, manifest, parsed)
         plan.append((entry.get("name", kind), kind, parsed))
     return a, plan
 
@@ -587,10 +587,11 @@ def run_manifest(manifest: dict, workers: int = 1) -> dict:
     """Validate a whole manifest, then run its experiments in order and
     evaluate every binding check; ``workers`` threads run dichotomy trials.
     Malformed input raises GapdimsError before the first trial."""
+    _check_value(workers, "workers", 1)
     a, plan = validate_manifest(manifest)
     results = []
     for name, kind, entry in plan:
-        run, _, _, label = MANIFEST_KINDS[kind]
+        run, _, _, _, label = MANIFEST_KINDS[kind]
         record = run(a, manifest, entry, workers)
         if label is None:
             checks = check_thresholds(entry["thresholds"], record["depths"], record["targets"])

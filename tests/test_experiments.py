@@ -17,7 +17,10 @@ from gapdims import (
     OutOfRegimeError,
     WindowPolicy,
     binomial_tail_check,
+    build_set,
+    depth_function,
     empty_bin_probability,
+    estimate_dimension,
     interval_length_lemma_check,
     make_dimension_function,
     make_sequence,
@@ -33,7 +36,6 @@ from gapdims.experiments import (
     check_thresholds,
     critical_load,
     length_constant,
-    trial_seed,
     validate_manifest,
     validate_thresholds,
 )
@@ -199,7 +201,7 @@ def test_dichotomy_per_trial_sandwich():
     rep = run_dichotomy_experiment(MID, f, 14, 4, 5, small_policies())
     for summary in rep.summaries:
         for t in summary.trials:
-            assert t.beta_low <= t.beta_up + 1e-12
+            assert t["beta_low"] <= t["beta_up"] + 1e-12
     assert rep.targets["box"] == pytest.approx(math.log(2) / math.log(3), abs=1e-9)
 
 
@@ -213,12 +215,33 @@ def test_dichotomy_matched_seed_ordering():
     assert zero.summaries[-1].median_up >= const.summaries[-1].median_up
     assert zero.summaries[-1].median_low <= const.summaries[-1].median_low
     # matched seeds: the same trial draws the same omega stream
-    assert [t.seed for t in zero.summaries[0].trials] == \
-        [t.seed for t in const.summaries[0].trials]
+    assert [t["seed"] for t in zero.summaries[0].trials] == \
+        [t["seed"] for t in const.summaries[0].trials]
 
 
-def test_trial_seed_is_derive_seed():
-    assert trial_seed(99, 7) == derive_seed(99, 7)
+def test_reports_record_derived_trial_seeds():
+    want = list(enumerate(derive_seed(77, t) for t in range(3)))
+    rep = run_dichotomy_experiment(MID, make_dimension_function("zero"), 14, 3, 77,
+                                   small_policies())
+    for summary in rep.summaries:
+        assert [(t["trial_id"], t["seed"]) for t in summary.trials] == want
+    detail = max_load_statistic(MID, 12, 8, 2, 3, master_seed=77)["trials_detail"]
+    assert [(t["trial_id"], t["seed"]) for t in detail] == want
+
+
+def test_dichotomy_cantor_controls_equal_direct_estimates():
+    # distinct upper and lower policies, so a swapped pair shows
+    low = WindowPolicy(n_values=(3,), k_min=1, k_max=2, max_centers=16)
+    policies = {d: (up, low) for d, (up, _) in small_policies().items()}
+    f = make_dimension_function("zero")
+    rep = run_dichotomy_experiment(MID, f, 14, 1, 5, policies, workers=2)
+    p = level_sums(MID, 60)
+    d = depth_function(f, p, 59, clip=True)
+    for summary in rep.summaries:
+        cset = build_set(MID, summary.depth, "cantor")
+        up, low = policies[summary.depth]
+        assert summary.cantor_up == estimate_dimension(cset, "upper", f, p, d, up).beta_hat
+        assert summary.cantor_low == estimate_dimension(cset, "lower", f, p, d, low).beta_hat
 
 
 # -- manifest threshold rules ------------------------------------------------
@@ -319,6 +342,20 @@ def drop(*path):
     return edit
 
 
+def chain(*edits):
+    def edit(m):
+        for each in edits:
+            m = each(m)
+        return m
+    return edit
+
+
+def max_load_first(m):
+    # the dichotomy runs second, so a check that only it makes comes after max-load trials
+    m["experiments"][:2] = m["experiments"][1::-1]
+    return m
+
+
 def rename(*path, to):
     def edit(m):
         obj, key = _at(m, path)
@@ -375,6 +412,43 @@ MALFORMED = {
     "missing top-level key": (drop("master_seed"), "missing key.*'master_seed'"),
     "dichotomy without the manifest's w": (drop("w"), "needs the manifest's 'w'"),
     "manifest not an object": (lambda m: [m], "manifest must be a JSON object"),
+    "zero trials": (chain(put("trials", value=0), max_load_first),
+                    "trials must be an integer in"),
+    "trials as a string": (chain(put("trials", value="2"), max_load_first),
+                           "trials must be an integer"),
+    "trials as a bool": (chain(put("trials", value=True), max_load_first),
+                         "trials must be an integer"),
+    "master seed not an integer": (put("master_seed", value=5.0), "master_seed must be an integer"),
+    "w not an integer": (put("w", value="14"), "w must be an integer"),
+    "w beyond the supported depths": (put("w", value=30), r"w must be an integer in \[7, 26\]"),
+    "w below the ladder": (put("w", value=6), r"w must be an integer in \[7, 26\]"),
+    "entry field not an integer": (put("experiments", 1, "n", value=8.0), "n must be an integer"),
+    "entry field a bool": (put("experiments", 2, "balls", value=True), "balls must be an integer"),
+    "min_frequency not a number": (put("experiments", 3, "min_frequency", value="0.5"),
+                                   "'min_frequency' must be a number"),
+    "final bound not a number": (put(*RULES, "lower", "final_max", value="1.0"),
+                                 "lower final_max must be a number"),
+    "max_load phi_n below one": (put("experiments", 1, "phi_n", value=0), "phi_n must be"),
+    "max_load W below n + phi_n": (put("experiments", 1, "w", value=9), r"need W >= n \+ phi_n"),
+    "max_load beyond the supported depths": (put("experiments", 1, "w", value=27),
+                                             r"w must be an integer in \[1, 26\]"),
+    "max_load out of regime": (put("experiments", 1, "phi_n", value=3), "not << ln"),
+    "interval n without headroom": (put("experiments", 3, "n", value=11),
+                                    r"n must be an integer in \[2, 10\]"),
+    "interval n below two": (put("experiments", 3, "n", value=1), r"n must be an integer in \[2,"),
+    "interval on a sequence not level comparable": (
+        chain(put("sequence", "kind", value="central"),
+              put("sequence", "ratios", value=[0.4999999999999]), drop("experiments", 0)),
+        "lemma's bounds assume a level comparable"),
+    "dichotomy on a sequence not level comparable": (
+        chain(put("sequence", "kind", value="central"),
+              put("sequence", "ratios", value=[0.4999999999999]),
+              max_load_first),
+        "dichotomy theorems assume a level comparable"),
+    "empty_bin without bins": (put("experiments", 2, "n_bins_log2", value=0), "n_bins_log2 must"),
+    "empty_bin with 2^40 bins": (put("experiments", 2, "n_bins_log2", value=40),
+                                 r"n_bins_log2 must be an integer in \[1, 26\]"),
+    "empty_bin without balls": (put("experiments", 2, "balls", value=0), "balls must be"),
 }
 
 
@@ -408,6 +482,22 @@ def test_malformed_manifest_fails_before_any_trial(case, no_trials, tmp_path,
     err = capsys.readouterr().err
     assert err.startswith("error:") and len(err.splitlines()) == 1, err
     assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("workers", [0, -1])
+def test_workers_below_one_are_rejected(workers, no_trials, tmp_path, monkeypatch, capsys):
+    with pytest.raises(GapdimsError, match="workers must be an integer in"):
+        run_manifest(small_manifest(), workers=workers)
+    with pytest.raises(GapdimsError, match="workers must be an integer in"):
+        run_dichotomy_experiment(MID, make_dimension_function("zero"), 14, 1, 5,
+                                 small_policies(), workers=workers)
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(small_manifest()))
+    monkeypatch.setenv("GAPDIMS_OUT_DIR", str(tmp_path))
+    assert main(["experiment", "--manifest", str(path), "--workers", str(workers),
+                 "--out", "r"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.splitlines()) == 1, err
 
 
 @pytest.mark.parametrize("text", ['{"sequence": {"kind": "middle-third"},', "", "[1, 2"])
