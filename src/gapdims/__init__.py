@@ -45,12 +45,11 @@ from .experiments import (
     run_dichotomy_experiment,
     run_manifest,
 )
-from .randmodel import ApproxSet, build_set, sample_order, slot_counts
+from .randmodel import ApproxSet, build_set, slot_counts
 from .rng import derive_seed, mix64, uniforms
 from .sequences import (
     GapSequence,
     LevelProfile,
-    check_level_comparable,
     level_sums,
     make_sequence,
 )
@@ -73,7 +72,6 @@ __all__ = [
     "binomial_tail_check",
     "box_dim_estimate",
     "build_set",
-    "check_level_comparable",
     "classify_regime",
     "cover_count",
     "depth_function",
@@ -91,7 +89,6 @@ __all__ = [
     "make_dimension_function",
     "make_sequence",
     "mix64",
-    "sample_order",
     "uniforms",
     "upper_phi_dim_formula",
 ]

@@ -108,11 +108,8 @@ def lower_phi_dim_formula(p: LevelProfile, d: DepthTable, n_levels: int) -> Form
     return _formula_estimate(p, d, n_levels, "lower")
 
 
-def box_dim_estimate(p: LevelProfile, return_curve: bool = False):
+def box_dim_estimate(p: LevelProfile) -> float:
     """Diagnostic box-dimension estimate n * ln2 / |ln s_n| at the deepest level."""
     if p.n_max < 16:
         raise InsufficientDepthError("box estimate needs >= 16 levels")
-    ns = np.arange(1, p.n_max + 1)
-    curve = ns * _LN2 / (-p.log_s[1:])
-    value = float(curve[-1])
-    return (value, curve) if return_curve else value
+    return float(p.n_max * _LN2 / -p.log_s[-1])

@@ -216,8 +216,9 @@ def enumerate_windows(s: ApproxSet, f: DimensionFunction, p: LevelProfile,
     """Admissible (n, k, x, R, r) windows under the policy.
 
     R runs over the level-n scale s_n (plus the (1-2*lambda)*s_n variant
-    when requested) and r over s_{n + phi(n) + k}; pairs with r >= R are
-    dropped, radii below the truncation floor raise.
+    when requested) and r over s_{n + phi(n) + k}.  Pairs with r >= R and
+    radii below the truncation floor are skipped; NoAdmissibleWindowError
+    is raised only when no window is left.
     """
     floor = s.truncation_floor()
     n_values = policy.n_values or _auto_n_values(d, s.w, floor, policy)

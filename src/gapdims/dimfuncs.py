@@ -132,12 +132,15 @@ class DepthTable:
     profile: LevelProfile
     n_min: int
     phi_values: np.ndarray       # ints, index i holds phi(n_min + i)
-    asymptotic_ratio: np.ndarray  # phi(n) / (n * Phi(s_n)), nan where phi < 2
-    regime: str                   # "large" | "small" | "indeterminate"
 
     @property
     def n_max(self) -> int:
         return self.n_min + len(self.phi_values) - 1
+
+    @property
+    def regime(self) -> str:
+        """`classify_regime` of tables with >= 64 levels, else "indeterminate"."""
+        return classify_regime(self) if len(self.phi_values) >= 64 else "indeterminate"
 
     def phi(self, n: int) -> int:
         if not (self.n_min <= n <= self.n_max):
@@ -177,30 +180,17 @@ def depth_function(f: DimensionFunction, p: LevelProfile, n_max: int,
         keep = int(np.argmax(unreachable))  # thresholds deepen with n for valid Phi
         if keep == 0:
             raise InsufficientDepthError("no level's threshold is resolvable")
-        ns, phi_x, thresholds, m = ns[:keep], phi_x[:keep], thresholds[:keep], m[:keep]
-    phi_values = m - ns
+        ns, m = ns[:keep], m[:keep]
     # the search can only land at m >= n since s_n^(1+Phi) <= s_n
-    phi_values = np.maximum(phi_values, 0)
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        denom = ns * phi_x
-        ratio = np.where((phi_values >= 2) & (denom > 0), phi_values / denom, np.nan)
-
-    table = DepthTable(func=f, profile=p, n_min=n_min,
-                       phi_values=phi_values.astype(np.int64),
-                       asymptotic_ratio=ratio, regime="indeterminate")
-    if len(phi_values) >= 64:
-        table = DepthTable(func=f, profile=p, n_min=n_min,
-                           phi_values=table.phi_values,
-                           asymptotic_ratio=ratio, regime=classify_regime(table))
-    return table
+    phi_values = np.maximum(m - ns, 0).astype(np.int64)
+    return DepthTable(func=f, profile=p, n_min=n_min, phi_values=phi_values)
 
 
 def classify_regime(d: DepthTable) -> str:
     """Heuristic trend of phi(n)/ln(n) over the top half of the table.
 
     "large" means phi(n) >> log n plausibly holds, "small" the reverse.
-    This is a diagnostic; experiments take the regime as explicit input.
+    This is a diagnostic; no experiment reads it.
     """
     if len(d.phi_values) < 64:
         raise InsufficientDepthError("regime classification needs >= 64 levels")

@@ -42,6 +42,11 @@ def _check_value(value, what: str, lo=-math.inf, hi=math.inf, kind=Integral) -> 
         raise InvalidRangeError(f"{what} must be {noun} in [{lo}, {hi}], got {value!r}")
 
 
+def _check_trials(trials, master_seed) -> None:
+    _check_value(trials, "trials", 1)
+    _check_value(master_seed, "master_seed")
+
+
 # ---------------------------------------------------------------------------
 # dichotomy experiment
 
@@ -105,30 +110,19 @@ def _betas(a, f, p, d, depth, arrangement, seed, policies) -> tuple[float, float
                  for direction, pol in zip(("upper", "lower"), policies[depth]))
 
 
-def default_policies(regime: str, depths: tuple[int, ...]) -> dict:
-    """Pilot-calibrated window policies per ladder depth.
-
-    Large-regime depth functions concentrate at the rule-based value, so
-    both directions probe a shallow window over a depth-ramped r-ladder.
-    Small-regime ones drift toward 1/0: the upper estimate needs a deep
-    window with a growing center pool to expose the worst interval, the
-    lower one a sparse shallow probe.
+def default_policies(depths: tuple[int, ...]) -> dict:
+    """Window policies per ladder depth, one for both directions and every Phi:
+    ``n_values=(4,)`` with k from depth-11 to depth-10 at depth >= 14,
+    else ``n_values=(2,)`` with k from 1 to 2.  A manifest that needs
+    other windows for small Phi pins its policies explicitly.
     """
     out = {}
     for depth in depths:
-        if regime != "small":
-            if depth >= 14:
-                pol = WindowPolicy(n_values=(4,), k_min=depth - 11, k_max=depth - 10)
-            else:
-                pol = WindowPolicy(n_values=(2,), k_min=1, k_max=2)
-            out[depth] = (pol, pol)
+        if depth >= 14:
+            pol = WindowPolicy(n_values=(4,), k_min=depth - 11, k_max=depth - 10)
         else:
-            out[depth] = (
-                WindowPolicy(n_values=(max(2, depth - 9),), k_min=3, k_max=4,
-                             max_centers=1024),
-                WindowPolicy(n_values=(min(4, depth - 4),), k_min=1, k_max=2,
-                             auto_n_count=1, max_centers=32),
-            )
+            pol = WindowPolicy(n_values=(2,), k_min=1, k_max=2)
+        out[depth] = (pol, pol)
     return out
 
 
@@ -150,8 +144,7 @@ def run_dichotomy_experiment(
     depth as the deterministic control.  One pool of ``workers`` threads
     runs every task and returns the results in submission order.
     """
-    _check_value(trials, "trials", 1)
-    _check_value(master_seed, "master_seed")
+    _check_trials(trials, master_seed)
     _check_value(workers, "workers", 1)
     _check_value(w, "w", *LADDER_W)
     p = _dichotomy_profile(a)
@@ -159,7 +152,7 @@ def run_dichotomy_experiment(
     box = box_dim_estimate(p)
     depths = (w - 6, w - 3, w)
     if policies is None:
-        policies = default_policies(d.regime, depths)
+        policies = default_policies(depths)
     seeds = [rng.derive_seed(master_seed, t) for t in range(trials)]
     # per depth: each trial's random set, then the cantor control
     tasks = [(depth, arrangement, seed) for depth in depths
@@ -250,6 +243,7 @@ def max_load_statistic(
     ``empty_bin`` when W reaches the depth n + phi_n + floor(A ln n).
     """
     _check_max_load(w, n, phi_n)
+    _check_trials(trials, master_seed)
     k_n = critical_load(n, phi_n)
     ext = phi_n + math.floor(LOAD_CUTOFF_A * math.log(n))
     rows = []
@@ -292,6 +286,7 @@ def _check_empty_bin(n_bins_log2: int, balls: int) -> None:
 def empty_bin_probability(n_bins_log2: int, balls: int, trials: int, master_seed: int) -> dict:
     """Frequency of at least one empty bin for iid-uniform ball placement."""
     _check_empty_bin(n_bins_log2, balls)
+    _check_trials(trials, master_seed)
     bins = 2 ** n_bins_log2
     hits = 0
     for t in range(trials):
@@ -324,6 +319,7 @@ def length_constant(p: LevelProfile) -> float:
 def _interval_profile(a: GapSequence, w: int, n: int) -> LevelProfile:
     _check_value(w, "w", 4, randmodel.MAX_DEPTH)
     _check_value(n, "n", 2, w - 2)   # headroom below W
+    randmodel.check_depth(w, a)
     return _comparable_profile(a, max(n, 16), "the lemma's bounds")
 
 
@@ -336,6 +332,7 @@ def interval_length_lemma_check(
 ) -> dict:
     """Frequency of {max level-n interval <= 3C * s_n^(1 - eps_n)}, eps_n = 4 ln n / n."""
     p = _interval_profile(a, w, n)
+    _check_trials(trials, master_seed)
     eps_n = 4.0 * math.log(n) / n
     c = length_constant(p)
     bound = 3.0 * c * p.s[n] ** (1.0 - eps_n)
@@ -552,8 +549,7 @@ def validate_manifest(manifest: dict) -> tuple[GapSequence, list[tuple[str, str,
     experiment; raises GapdimsError on any malformed or refused value."""
     check_keys(manifest, "manifest", ("sequence", "trials", "master_seed", "experiments"),
                ("w", "name", "schema_version"))
-    _check_value(manifest["trials"], "trials", 1)
-    _check_value(manifest["master_seed"], "master_seed")
+    _check_trials(manifest["trials"], manifest["master_seed"])
     if "w" in manifest:
         _check_value(manifest["w"], "w", *LADDER_W)
     a = GapSequence.from_config(manifest["sequence"])

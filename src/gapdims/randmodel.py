@@ -26,21 +26,14 @@ from .sequences import GapSequence
 MAX_DEPTH = 26  # 2^26 gaps ~ 0.5 GiB of float64 scratch; refuse beyond
 
 
-def _check_depth(w: int) -> None:
+def check_depth(w: int, sequence: GapSequence | None = None) -> None:
+    """Refuse a depth W outside [1, MAX_DEPTH], or one with more than the
+    sequence's gaps to place (2^W - 1)."""
     if not 1 <= w <= MAX_DEPTH:
         raise DepthUnsupportedError(f"depth W={w} outside supported range [1, {MAX_DEPTH}]")
-
-
-def sample_order(seed: int, w: int) -> np.ndarray:
-    """Left-to-right gap order for the random arrangement at depth W.
-
-    Returns ``order`` with ``order[p]`` = 1-based gap index placed at
-    position p.  Equals the stable argsort of the uniform labels
-    omega_1, ..., omega_{2^W - 1} (stream counter = gap index).
-    """
-    _check_depth(w)
-    omega = rng.uniforms(seed, 1, 2 ** w)
-    return np.argsort(omega, kind="stable") + 1
+    if sequence is not None and 2 ** w - 1 > sequence.max_index:
+        raise DepthUnsupportedError(
+            f"sequence defines {sequence.max_index} gaps, depth {w} needs {2 ** w - 1}")
 
 
 def _cantor_positions(w: int) -> np.ndarray:
@@ -135,10 +128,7 @@ def build_set(sequence: GapSequence, w: int, arrangement: str, seed: int | None 
     ``decreasing`` puts all of it in the leftmost slot, so the points of
     the set are literally the tail sums of the sequence.
     """
-    _check_depth(w)
-    if 2 ** w - 1 > sequence.max_index:
-        raise DepthUnsupportedError(
-            f"sequence defines {sequence.max_index} gaps, depth {w} needs {2 ** w - 1}")
+    check_depth(w, sequence)
     m = 2 ** w - 1
     tail = sequence.tail_mass(w)
 
@@ -172,7 +162,7 @@ def slot_counts(seed: int, w: int, n: int, bounds: tuple[int, ...]) -> np.ndarra
     shallow labels omega_j (j < 2^n), so no geometry is built; both sides
     are sorted before ranking, each range [b_i, b_(i+1)) once.
     """
-    _check_depth(w)
+    check_depth(w)
     omega = rng.uniforms(seed, 1, 2 ** w)
     shallow = np.sort(omega[: 2 ** n - 1])
     rows = []

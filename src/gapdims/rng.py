@@ -47,13 +47,7 @@ def _mixed_words(seed: int, counters: np.ndarray) -> np.ndarray:
 
 def uniforms(seed: int, start: int, stop: int) -> np.ndarray:
     """U[0,1) variates for counters start..stop-1 (53-bit mantissas)."""
-    counters = np.arange(start, stop, dtype=np.uint64)
-    return uniforms_at(seed, counters)
-
-
-def uniforms_at(seed: int, counters: np.ndarray) -> np.ndarray:
-    """U[0,1) variates at the given (possibly non-contiguous) counters."""
-    z = _mixed_words(seed, np.asarray(counters, dtype=np.uint64))
+    z = _mixed_words(seed, np.arange(start, stop, dtype=np.uint64))
     return (z >> np.uint64(11)).astype(np.float64) * (2.0 ** -53)
 
 

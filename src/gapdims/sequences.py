@@ -43,11 +43,6 @@ MAX_EXPLICIT = 2 ** 24
 _HALF_MARGIN = 1e-9  # strictness margin for ratio < 1/2 tests
 
 
-def level_of(j: int) -> int:
-    """Construction level of gap index j >= 1."""
-    return int(j).bit_length()
-
-
 def _ratio_table(schedule: str, ratios: tuple[float, ...], n_levels: int) -> np.ndarray:
     """r_1 .. r_{n_levels} as an array."""
     if schedule == "constant":
@@ -74,12 +69,6 @@ class GapSequence:
     @property
     def rule_based(self) -> bool:
         return self.kind != "explicit"
-
-    @property
-    def max_level(self) -> int:
-        if self.rule_based:
-            return MAX_RULE_LEVEL
-        return level_of(len(self.gaps))
 
     @property
     def max_index(self) -> int:
@@ -226,10 +215,6 @@ class LevelProfile:
     def n_max(self) -> int:
         return len(self.s) - 1
 
-    def ratio(self, k: int, n: int) -> float:
-        """s_k / s_{k+n}, computed in log space."""
-        return float(np.exp(self.log_s[k] - self.log_s[k + n]))
-
 
 def level_sums(a: GapSequence, n_levels: int) -> LevelProfile:
     """Compute the profile s_0..s_{n_levels} plus tau/lambda/kappa hats."""
@@ -269,10 +254,3 @@ def level_sums(a: GapSequence, n_levels: int) -> LevelProfile:
         level_comparable=level_comparable,
         doubling=doubling,
     )
-
-
-def check_level_comparable(p: LevelProfile) -> tuple[float, float, bool]:
-    """(tau, lambda, verdict): all consecutive ratios in (0, 1/2 - 1e-9]."""
-    if p.n_max < 2:
-        raise InsufficientDepthError("profile needs at least 2 levels")
-    return p.tau_hat, p.lambda_hat, p.level_comparable

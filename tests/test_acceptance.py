@@ -3,7 +3,8 @@
 One test per criterion; each prints a single PASS line when its binding
 assertions hold.  Criteria 5 and 6 share the pre-registered manifest run
 (manifests/dichotomy_middle_third.json), which carries the pilot-calibrated
-window policies and thresholds.
+window policies and thresholds.  Criteria 5-9 (5 and 6 through that
+shared run) take over 20 s each and carry the ``slow`` marker.
 """
 
 import json
@@ -18,6 +19,7 @@ from scipy import stats
 
 from gapdims import (
     binomial_tail_check,
+    build_set,
     depth_function,
     empty_bin_probability,
     interval_length_lemma_check,
@@ -28,7 +30,6 @@ from gapdims import (
     max_load_statistic,
     run_dichotomy_experiment,
     run_manifest,
-    sample_order,
     upper_phi_dim_formula,
 )
 from gapdims.covering import WindowPolicy
@@ -122,6 +123,7 @@ def test_criterion_04_greedy_equals_exhaustive():
           "random instances, zero mismatches")
 
 
+@pytest.mark.slow
 def test_criterion_05_proposition_invariants(manifest_outcome):
     # (a) monotone in the dimension function, on the formula values
     a = make_sequence("central", ratios=[0.2, 0.45], schedule="blocks")
@@ -151,6 +153,7 @@ def test_criterion_05_proposition_invariants(manifest_outcome):
           "matched-seed ordering all hold with zero violations")
 
 
+@pytest.mark.slow
 def test_criterion_06_dichotomy_manifest(manifest_outcome):
     for res in manifest_outcome["results"]:
         for check in res["checks"]:
@@ -160,6 +163,7 @@ def test_criterion_06_dichotomy_manifest(manifest_outcome):
           "(drift and final tolerances, both families, W ladder 14/17/20)")
 
 
+@pytest.mark.slow
 def test_criterion_07_max_load_exceeds_critical():
     rep = max_load_statistic(MID, 23, 20, 2, 200, master_seed=7)
     assert rep["K_n"] == pytest.approx(2 * 20 * LN2 / math.log(20 * LN2 / 4.0), rel=1e-12)
@@ -171,6 +175,7 @@ def test_criterion_07_max_load_exceeds_critical():
           f"{rep['frequency']:.3f} >= 0.4 over 200 trials, histogram emitted")
 
 
+@pytest.mark.slow
 def test_criterion_08_empty_bins_at_critical_load():
     rep = empty_bin_probability(20, 5 * 2 ** 20, 200, master_seed=8)
     assert rep["frequency"] >= 0.99
@@ -178,6 +183,7 @@ def test_criterion_08_empty_bins_at_critical_load():
           ">= 0.99 (2^20 bins, 5*2^20 balls, 200 trials)")
 
 
+@pytest.mark.slow
 def test_criterion_09_interval_length_lemma():
     rep = interval_length_lemma_check(MID, 20, 14, 200, master_seed=9)
     assert rep["C"] == pytest.approx(1.0, rel=1e-12)
@@ -207,14 +213,14 @@ def test_criterion_11_permutation_law():
     perms3 = list(permutations((1, 2, 3)))
     counts = dict.fromkeys(perms3, 0)
     for t in range(trials):
-        counts[tuple(sample_order(derive_seed(11, t), 2))] += 1
+        counts[tuple(build_set(MID, 2, "random", seed=derive_seed(11, t)).order)] += 1
     _, p_uniform = stats.chisquare(list(counts.values()))
     assert p_uniform > 0.001, counts
 
     idx = {p: i for i, p in enumerate(permutations(range(3)))}
     table = np.zeros((6, 6), dtype=np.int64)
     for t in range(trials):
-        order = sample_order(derive_seed(12, t), 3)
+        order = build_set(MID, 3, "random", seed=derive_seed(12, t)).order
         pos = np.empty(7, dtype=np.int64)
         pos[order - 1] = np.arange(7)
         table[idx[tuple(np.argsort(np.argsort(pos[0:3])))],

@@ -123,5 +123,4 @@ def test_monotone_in_dimension_function():
 def test_box_dim_middle_third():
     p = level_sums(make_sequence("middle-third"), 64)
     assert box_dim_estimate(p) == pytest.approx(LN2 / math.log(3.0), abs=1e-12)
-    value, curve = box_dim_estimate(p, return_curve=True)
-    assert value == curve[-1] and len(curve) == 64
+    assert box_dim_estimate(p) == 64 * LN2 / -p.log_s[64]

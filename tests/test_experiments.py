@@ -14,6 +14,7 @@ from scipy import stats
 from gapdims import (
     DepthUnsupportedError,
     GapdimsError,
+    InvalidRangeError,
     OutOfRegimeError,
     WindowPolicy,
     binomial_tail_check,
@@ -27,7 +28,6 @@ from gapdims import (
     max_load_statistic,
     run_dichotomy_experiment,
     run_manifest,
-    sample_order,
 )
 from gapdims import randmodel, rng
 from gapdims.cli import main
@@ -53,7 +53,7 @@ def test_restriction_to_three_gaps_is_uniform():
     counts = dict.fromkeys(perms, 0)
     trials = 60000
     for t in range(trials):
-        order = sample_order(derive_seed(31, t), 2)  # 3 gaps at W = 2
+        order = build_set(MID, 2, "random", seed=derive_seed(31, t)).order  # 3 gaps
         counts[tuple(order)] += 1
     chi2, pval = stats.chisquare(list(counts.values()))
     assert pval > 0.001, (counts, pval)
@@ -65,7 +65,7 @@ def test_disjoint_blocks_are_independent():
     table = np.zeros((6, 6), dtype=np.int64)
     trials = 60000
     for t in range(trials):
-        order = sample_order(derive_seed(77, t), 3)  # 7 gaps
+        order = build_set(MID, 3, "random", seed=derive_seed(77, t)).order  # 7 gaps
         pos = np.empty(7, dtype=np.int64)
         pos[order - 1] = np.arange(7)
         a = tuple(np.argsort(np.argsort(pos[0:3])))
@@ -139,6 +139,19 @@ def test_interval_length_check_small():
     assert 0.0 <= rep["frequency"] <= 1.0
     assert rep["cantor_within_bound"]
     assert rep["median_max_length"] < rep["bound"]
+
+
+@pytest.mark.parametrize("trials, master_seed, message", [
+    (0, 1, "trials must be an integer in"), (4, "1", "master_seed must be an integer")])
+@pytest.mark.parametrize("experiment", [
+    lambda trials, seed: max_load_statistic(MID, 12, 8, 2, trials, seed),
+    lambda trials, seed: empty_bin_probability(8, 100, trials, seed),
+    lambda trials, seed: interval_length_lemma_check(MID, 12, 6, trials, seed),
+], ids=["max_load", "empty_bin", "interval_length"])
+def test_experiments_check_trials_and_master_seed(experiment, trials, master_seed, message,
+                                                  no_trials):
+    with pytest.raises(InvalidRangeError, match=message):
+        experiment(trials, master_seed)
 
 
 # -- binomial tails ----------------------------------------------------------
@@ -217,6 +230,17 @@ def test_dichotomy_matched_seed_ordering():
     # matched seeds: the same trial draws the same omega stream
     assert [t["seed"] for t in zero.summaries[0].trials] == \
         [t["seed"] for t in const.summaries[0].trials]
+
+
+def test_default_policies_are_one_rule_for_every_phi():
+    # below depth 14: n = 2, k in [1, 2]; from 14 on: n = 4, k in [depth - 11, depth - 10]
+    rule = {8: WindowPolicy(n_values=(2,), k_min=1, k_max=2),
+            11: WindowPolicy(n_values=(2,), k_min=1, k_max=2),
+            14: WindowPolicy(n_values=(4,), k_min=3, k_max=4)}
+    want = {str(depth): [pol.to_config(), pol.to_config()] for depth, pol in rule.items()}
+    for f in (make_dimension_function("zero"), make_dimension_function("constant", 1.0)):
+        rep = run_dichotomy_experiment(MID, f, 14, 1, 5, policies=None)
+        assert rep.config["policies"] == want
 
 
 def test_reports_record_derived_trial_seeds():
@@ -356,6 +380,14 @@ def max_load_first(m):
     return m
 
 
+def short_explicit_sequence(m):
+    # middle-third gaps of levels 1..17, rescaled to sum 1: 2^17 - 1 gaps, too few for W = 18
+    levels = np.repeat(np.arange(1, 18), 2 ** np.arange(17))
+    gaps = 3.0 ** -levels
+    m["sequence"] = {"kind": "explicit", "gaps": (gaps / math.fsum(gaps)).tolist()}
+    return m
+
+
 def rename(*path, to):
     def edit(m):
         obj, key = _at(m, path)
@@ -449,6 +481,10 @@ MALFORMED = {
     "empty_bin with 2^40 bins": (put("experiments", 2, "n_bins_log2", value=40),
                                  r"n_bins_log2 must be an integer in \[1, 26\]"),
     "empty_bin without balls": (put("experiments", 2, "balls", value=0), "balls must be"),
+    "interval_length deeper than an explicit sequence": (
+        chain(short_explicit_sequence, put("experiments", 3, "w", value=18),
+              drop("experiments", 1), drop("experiments", 0)),
+        "depth 18 needs 262143"),
 }
 
 

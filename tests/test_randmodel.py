@@ -10,7 +10,6 @@ from gapdims import (
     build_set,
     level_sums,
     make_sequence,
-    sample_order,
     slot_counts,
 )
 
@@ -27,14 +26,14 @@ MID = make_sequence("middle-third")
 
 def test_order_is_permutation():
     for w in (1, 4, 8):
-        order = sample_order(3, w)
+        order = build_set(MID, w, "random", seed=3).order
         assert sorted(order) == list(range(1, 2 ** w))
 
 
 def test_order_matches_label_ranks():
     w = 8
     omega = omega_labels(11, w)
-    order = sample_order(11, w)
+    order = build_set(MID, w, "random", seed=11).order
     # gap at position p has the (p+1)-th smallest label
     assert np.array_equal(np.sort(omega)[np.arange(2 ** w - 1)], omega[order - 1])
 

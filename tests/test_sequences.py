@@ -11,11 +11,9 @@ from gapdims import (
     InvalidRatioError,
     NotDecreasingError,
     NotNormalizedError,
-    check_level_comparable,
     level_sums,
     make_sequence,
 )
-from gapdims.sequences import level_of
 
 
 def cantor_gaps(ratios, n_levels):
@@ -30,7 +28,10 @@ def cantor_gaps(ratios, n_levels):
 
 
 def test_level_of():
-    assert [level_of(j) for j in [1, 2, 3, 4, 7, 8, 1023, 1024]] == [1, 2, 2, 3, 3, 4, 10, 11]
+    # index j has level bit_length(j); middle-third level-n gaps have length 3^-n
+    js = [1, 2, 3, 4, 7, 8, 1023, 1024]
+    a = make_sequence("middle-third").gap_lengths(np.array(js))
+    assert np.allclose(a, 3.0 ** -np.array([1, 2, 2, 3, 3, 4, 10, 11]), rtol=1e-12)
 
 
 def test_middle_third_level_sums_closed_form():
@@ -89,9 +90,8 @@ def test_tail_mass_equals_scaled_level_sum():
 
 def test_level_comparability_constants():
     p = level_sums(make_sequence("middle-third"), 32)
-    tau, lam, ok = check_level_comparable(p)
-    assert tau == pytest.approx(1.0 / 3.0) and lam == pytest.approx(1.0 / 3.0)
-    assert ok
+    assert p.tau_hat == pytest.approx(1.0 / 3.0) and p.lambda_hat == pytest.approx(1.0 / 3.0)
+    assert p.level_comparable
 
     p2 = level_sums(make_sequence("central", ratios=[0.2, 0.45], schedule="blocks"), 32)
     assert p2.tau_hat == pytest.approx(0.2) and p2.lambda_hat == pytest.approx(0.45)
