@@ -9,7 +9,6 @@ from .cantor import (
 from .dimfuncs import (
     DepthTable,
     DimensionFunction,
-    classify_regime,
     depth_function,
     make_dimension_function,
 )
@@ -46,7 +45,7 @@ from .experiments import (
     run_manifest,
 )
 from .randmodel import ApproxSet, build_set, slot_counts
-from .rng import derive_seed, mix64, uniforms
+from .rng import derive_seed, uniforms
 from .sequences import (
     GapSequence,
     LevelProfile,
@@ -72,7 +71,6 @@ __all__ = [
     "binomial_tail_check",
     "box_dim_estimate",
     "build_set",
-    "classify_regime",
     "cover_count",
     "depth_function",
     "derive_seed",
@@ -88,7 +86,6 @@ __all__ = [
     "lower_phi_dim_formula",
     "make_dimension_function",
     "make_sequence",
-    "mix64",
     "uniforms",
     "upper_phi_dim_formula",
 ]

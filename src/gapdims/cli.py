@@ -121,14 +121,15 @@ def cmd_dims(args) -> int:
     merge_config(args, ["seq", "phi", "levels"])
     _require(args, "seq")
     a = parse_sequence(args.seq)
-    f = parse_phi(args.phi or "zero")
-    levels = args.levels or 64
+    phi = "zero" if args.phi is None else args.phi
+    f = parse_phi(phi)
+    levels = 64 if args.levels is None else args.levels
     p = level_sums(a, levels)
     d = depth_function(f, p, p.n_max, clip=True)
     up = upper_phi_dim_formula(p, d, p.n_max)
     lo = lower_phi_dim_formula(p, d, p.n_max)
     payload = {
-        "config": {"seq": args.seq, "phi": args.phi or "zero", "levels": levels,
+        "config": {"seq": args.seq, "phi": phi, "levels": levels,
                    "sequence": a.to_config(), "dimension_function": f.to_config()},
         "upper": up.to_record(),
         "lower": lo.to_record(),
@@ -167,16 +168,16 @@ def cmd_estimate(args) -> int:
                         "policy"])
     _require(args, "seq", "w")
     a = parse_sequence(args.seq)
-    f = parse_phi(args.phi or "zero")
-    levels = args.levels or 60
+    phi = "zero" if args.phi is None else args.phi
+    f = parse_phi(phi)
+    levels = 60 if args.levels is None else args.levels
     p = level_sums(a, levels)
     d = depth_function(f, p, levels - 1, clip=True)
-    policy = (WindowPolicy.from_config(args.policy) if args.policy
-              else WindowPolicy())
+    policy = WindowPolicy() if args.policy is None else WindowPolicy.from_config(args.policy)
     s = build_set(a, args.w, args.arrangement, seed=args.seed)
     directions = ("upper", "lower") if args.direction == "both" else (args.direction,)
     summary = {"config": {
-        "seq": args.seq, "phi": args.phi or "zero", "w": args.w,
+        "seq": args.seq, "phi": phi, "w": args.w,
         "arrangement": args.arrangement, "seed": args.seed, "levels": levels,
         "direction": args.direction, "policy": policy.to_config(),
         "sequence": a.to_config(), "dimension_function": f.to_config(),
@@ -220,7 +221,7 @@ def cmd_tailcheck(args) -> int:
         grid = DEFAULT_GRID
     else:
         grid = [tuple(int(v) for v in pair.split(":")) for pair in args.grid.split(",")]
-    eta = args.eta or 1.0 / 12.0
+    eta = 1.0 / 12.0 if args.eta is None else args.eta
     rows = experiments.binomial_tail_check(grid, eta)
     ok = all(
         row.exact_two_sided_tail <= row.dml_bound

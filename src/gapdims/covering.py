@@ -20,6 +20,7 @@ set at the scales in play.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import asdict, dataclass, fields
 
@@ -27,7 +28,8 @@ import numpy as np
 
 from . import rng
 from .dimfuncs import DepthTable, DimensionFunction
-from .errors import InvalidRangeError, NoAdmissibleWindowError, TruncationViolationError, check_keys
+from .errors import (GapdimsError, InvalidRangeError, NoAdmissibleWindowError,
+                     TruncationViolationError, check_keys, check_value)
 from .randmodel import ApproxSet
 from .sequences import LevelProfile
 
@@ -107,6 +109,18 @@ class CoverQuery:
         return (self.n, self.k, self.center_x, self.radius_R)
 
 
+# Shaving a hair off R drops set points at distance exactly R from the
+# center; rule-based sequences hit that razor edge constantly (gap
+# lengths are exact powers) and the touching endpoint would otherwise
+# inflate small counts.
+RADIUS_SHRINK = 1e-9
+
+# Removed policy options, each still accepted at the value that left the
+# windows unchanged, so manifests written with them load as before.
+_RETIRED_KEYS = {"k_auto": False, "margin_radius": False, "span_levels_max": None,
+                 "center_seed": 0, "radius_shrink": RADIUS_SHRINK}
+
+
 @dataclass(frozen=True)
 class WindowPolicy:
     """How windows are enumerated for one dimension estimate.
@@ -114,7 +128,7 @@ class WindowPolicy:
     ``n_values`` of None means auto: the ``auto_n_count`` deepest levels
     whose full radius ladder stays above the truncation floor.  Centers
     are the endpoints of the level-n intervals, subsampled
-    deterministically by ``center_seed`` past ``max_centers``.
+    deterministically past ``max_centers``.
     """
 
     n_values: tuple[int, ...] | None = None
@@ -122,24 +136,21 @@ class WindowPolicy:
     n_spread: bool = False        # auto levels spread over the feasible range, not just deepest
     k_min: int = 1
     k_max: int = 3
-    k_auto: bool = False          # extend each n's ladder down to the truncation floor
-    span_levels_max: int | None = None   # require n >= W - this (caps segments per window)
     max_centers: int = 64
-    center_seed: int = 0
-    margin_radius: bool = False   # also try R = (1 - 2*lambda) * s_n
-    # Shaving a hair off R drops set points at distance exactly R from the
-    # center; rule-based sequences hit that razor edge constantly (gap
-    # lengths are exact powers) and the touching endpoint would otherwise
-    # inflate small counts.
-    radius_shrink: float = 1e-9
 
     def __post_init__(self):
-        if self.k_min < 0 or (not self.k_auto and self.k_max < self.k_min):
-            raise InvalidRangeError("need 0 <= k_min <= k_max")
-        if self.max_centers < 1 or self.auto_n_count < 1:
-            raise InvalidRangeError("max_centers and auto_n_count must be >= 1")
-        if not 0.0 <= self.radius_shrink < 1e-3:
-            raise InvalidRangeError("radius_shrink outside [0, 1e-3)")
+        if self.n_values is not None:
+            if not isinstance(self.n_values, tuple) or not self.n_values:
+                raise InvalidRangeError(
+                    f"n_values must be null or a non-empty list of integers, got {self.n_values!r}")
+            for n in self.n_values:
+                check_value(n, "n_values entries", 1)
+        if not isinstance(self.n_spread, bool):
+            raise InvalidRangeError(f"n_spread must be true or false, got {self.n_spread!r}")
+        check_value(self.k_min, "k_min", 0)
+        check_value(self.k_max, "k_max", self.k_min)
+        check_value(self.max_centers, "max_centers", 1)
+        check_value(self.auto_n_count, "auto_n_count", 1)
 
     def to_config(self) -> dict:
         cfg = asdict(self)
@@ -149,8 +160,14 @@ class WindowPolicy:
     @staticmethod
     def from_config(cfg: dict) -> "WindowPolicy":
         cfg = dict(check_keys(cfg, "window policy",
-                              optional=[f.name for f in fields(WindowPolicy)]))
-        if cfg.get("n_values") is not None:
+                              optional=[*(f.name for f in fields(WindowPolicy)),
+                                        *_RETIRED_KEYS]))
+        for key, value in _RETIRED_KEYS.items():
+            got = cfg.pop(key, value)
+            if type(got) is not type(value) or got != value:
+                raise GapdimsError(f"window policy key {key!r} is removed and accepts "
+                                   f"only {json.dumps(value)}, got {got!r}")
+        if isinstance(cfg.get("n_values"), list):
             cfg["n_values"] = tuple(cfg["n_values"])
         return WindowPolicy(**cfg)
 
@@ -177,20 +194,15 @@ class DimensionEstimate:
 def _auto_n_values(d: DepthTable, w: int, floor: float, policy: WindowPolicy) -> tuple[int, ...]:
     """Levels n whose radius ladder still resolves the set.
 
-    A level is feasible when its mandatory ladder (k_min..k_max, or just
-    k_min under k_auto) stays above the truncation floor.  Default: the
-    auto_n_count deepest feasible levels; with n_spread, levels evenly
-    spaced across the whole feasible range.
+    A level is feasible when its ladder k_min..k_max stays above the
+    truncation floor.  Default: the auto_n_count deepest feasible levels;
+    with n_spread, levels evenly spaced across the whole feasible range.
     """
     log_floor = math.log(floor)
     p = d.profile
-    k_need = policy.k_min if policy.k_auto else policy.k_max
-    n_lo = d.n_min
-    if policy.span_levels_max is not None:
-        n_lo = max(n_lo, w - policy.span_levels_max)
     feasible = []
-    for n in range(n_lo, min(d.n_max, w) + 1):
-        m = n + d.phi(n) + k_need
+    for n in range(d.n_min, min(d.n_max, w) + 1):
+        m = n + d.phi(n) + policy.k_max
         if m <= p.n_max and p.log_s[m] >= log_floor:
             feasible.append(n)
     if not feasible:
@@ -206,7 +218,7 @@ def _pick_centers(s: ApproxSet, n: int, policy: WindowPolicy) -> np.ndarray:
     centers = np.unique(np.concatenate([lefts, rights]))
     if len(centers) <= policy.max_centers:
         return centers
-    u = rng.uniforms(rng.derive_seed(policy.center_seed, n), 0, len(centers))
+    u = rng.uniforms(rng.derive_seed(0, n), 0, len(centers))
     keep = np.sort(np.argsort(u, kind="stable")[: policy.max_centers])
     return centers[keep]
 
@@ -215,40 +227,26 @@ def enumerate_windows(s: ApproxSet, f: DimensionFunction, p: LevelProfile,
                       d: DepthTable, policy: WindowPolicy) -> list[tuple[int, int, float, float, float]]:
     """Admissible (n, k, x, R, r) windows under the policy.
 
-    R runs over the level-n scale s_n (plus the (1-2*lambda)*s_n variant
-    when requested) and r over s_{n + phi(n) + k}.  Pairs with r >= R and
-    radii below the truncation floor are skipped; NoAdmissibleWindowError
-    is raised only when no window is left.
+    R is the level-n scale s_n, shaved by RADIUS_SHRINK, and r runs over
+    s_{n + phi(n) + k}.  Pairs with r >= R and radii below the truncation
+    floor are skipped; NoAdmissibleWindowError is raised only when no
+    window is left.
     """
     floor = s.truncation_floor()
     n_values = policy.n_values or _auto_n_values(d, s.w, floor, policy)
     if not n_values:
         raise NoAdmissibleWindowError("no level has covering radii above the truncation floor")
     out = []
-    shrink = 1.0 - policy.radius_shrink
     for n in n_values:
         if not d.n_min <= n <= min(d.n_max, s.w):
             raise InvalidRangeError(f"window level {n} outside phi table or depth")
-        radii_R = [shrink * p.s[n]]
-        if policy.margin_radius:
-            radii_R.append(shrink * (1.0 - 2.0 * p.lambda_hat) * p.s[n])
+        big_r = (1.0 - RADIUS_SHRINK) * p.s[n]
         centers = _pick_centers(s, n, policy)
-        k_hi = policy.k_max
-        if policy.k_auto:
-            # deepest k whose radius stays above the floor
-            m_floor = int(np.searchsorted(-p.log_s, -math.log(floor), side="right")) - 1
-            k_hi = max(policy.k_max, m_floor - n - d.phi(n))
-        for k in range(policy.k_min, k_hi + 1):
+        for k in range(policy.k_min, policy.k_max + 1):
             m = n + d.phi(n) + k
-            if m > p.n_max:
-                continue
-            r = p.s[m]
-            if r < floor:
-                continue   # ladder is intersected with the truncation floor
-            for big_r in radii_R:
-                if r >= big_r:
-                    continue
-                out.extend((n, k, float(x), big_r, r) for x in centers)
+            # the ladder is intersected with the truncation floor
+            if m <= p.n_max and floor <= p.s[m] < big_r:
+                out.extend((n, k, float(x), big_r, p.s[m]) for x in centers)
     if not out:
         raise NoAdmissibleWindowError("policy admits no window with r < R")
     return out

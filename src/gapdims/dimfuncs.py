@@ -30,7 +30,7 @@ from .sequences import LevelProfile
 
 _FAMILIES = ("zero", "constant", "inverse-log", "psi", "scaled-psi", "power-log", "tabulated")
 _GRID_POINTS = 1200
-_DEFAULT_FLOOR = 1e-280
+_DOMAIN_FLOOR = 1e-280   # smallest x a dimension function accepts
 _LOG_TOL = 1e-9  # relative slack on log-space threshold comparisons
 
 
@@ -39,7 +39,6 @@ class DimensionFunction:
     family: str
     param: float | None = None
     grid: tuple[tuple[float, float], ...] | None = field(default=None, repr=False)
-    domain_floor: float = _DEFAULT_FLOOR
 
     @property
     def domain_ceiling(self) -> float:
@@ -71,10 +70,8 @@ class DimensionFunction:
 
     def __call__(self, x) -> np.ndarray | float:
         xa = np.asarray(x, dtype=np.float64)
-        if np.any(xa < self.domain_floor) or np.any(xa >= self.domain_ceiling):
-            raise OutOfDomainError(
-                f"x outside [{self.domain_floor}, {self.domain_ceiling})"
-            )
+        if np.any(xa < _DOMAIN_FLOOR) or np.any(xa >= self.domain_ceiling):
+            raise OutOfDomainError(f"x outside [{_DOMAIN_FLOOR}, {self.domain_ceiling})")
         out = self.value_at_neg_log(-np.log(xa))
         return float(out) if np.isscalar(x) else out
 
@@ -117,7 +114,7 @@ def make_dimension_function(family: str, param=None, grid=None) -> DimensionFunc
 def _check_monotone(f: DimensionFunction) -> None:
     """Assert x^(1+f(x)) is non-increasing as x decreases, on a geometric grid."""
     L = np.linspace(math.log(2.0) if f.domain_ceiling >= 0.5 else 1.0 + 1e-6,
-                    -math.log(f.domain_floor), _GRID_POINTS)
+                    -math.log(_DOMAIN_FLOOR), _GRID_POINTS)
     h = -(1.0 + f.value_at_neg_log(L)) * L  # = ln(x^(1+f(x))), x = e^-L
     # as L grows (x decreases) h must not increase
     if np.any(np.diff(h) > 1e-12 * np.abs(h[1:])):
@@ -139,8 +136,24 @@ class DepthTable:
 
     @property
     def regime(self) -> str:
-        """`classify_regime` of tables with >= 64 levels, else "indeterminate"."""
-        return classify_regime(self) if len(self.phi_values) >= 64 else "indeterminate"
+        """Heuristic trend of phi(n)/ln(n) over the top half of the table.
+
+        "large" means phi(n) >> log n plausibly holds, "small" the reverse;
+        tables of fewer than 64 levels are "indeterminate".  This is a
+        diagnostic; no experiment reads it.
+        """
+        if len(self.phi_values) < 64:
+            return "indeterminate"
+        ns = np.arange(self.n_min, self.n_max + 1)
+        half = len(ns) // 2
+        ns, phis = ns[half:], self.phi_values[half:]
+        ratio = phis / np.log(ns)
+        slope = np.polyfit(ns, ratio, 1)[0]
+        if ratio[-1] > 4.0 and slope > 0:
+            return "large"
+        if ratio[-1] < 0.25 and slope <= 0:
+            return "small"
+        return "indeterminate"
 
     def phi(self, n: int) -> int:
         if not (self.n_min <= n <= self.n_max):
@@ -184,23 +197,3 @@ def depth_function(f: DimensionFunction, p: LevelProfile, n_max: int,
     # the search can only land at m >= n since s_n^(1+Phi) <= s_n
     phi_values = np.maximum(m - ns, 0).astype(np.int64)
     return DepthTable(func=f, profile=p, n_min=n_min, phi_values=phi_values)
-
-
-def classify_regime(d: DepthTable) -> str:
-    """Heuristic trend of phi(n)/ln(n) over the top half of the table.
-
-    "large" means phi(n) >> log n plausibly holds, "small" the reverse.
-    This is a diagnostic; no experiment reads it.
-    """
-    if len(d.phi_values) < 64:
-        raise InsufficientDepthError("regime classification needs >= 64 levels")
-    ns = np.arange(d.n_min, d.n_max + 1)
-    half = len(ns) // 2
-    ns, phis = ns[half:], d.phi_values[half:]
-    ratio = phis / np.log(ns)
-    slope = np.polyfit(ns, ratio, 1)[0]
-    if ratio[-1] > 4.0 and slope > 0:
-        return "large"
-    if ratio[-1] < 0.25 and slope <= 0:
-        return "small"
-    return "indeterminate"

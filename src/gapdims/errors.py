@@ -1,4 +1,7 @@
-"""Exception hierarchy and the config-key check shared by all gapdims modules."""
+"""Exception hierarchy and the config checks shared by all gapdims modules."""
+
+import math
+from numbers import Integral
 
 
 class GapdimsError(Exception):
@@ -61,3 +64,10 @@ def check_keys(cfg, what: str, required=(), optional=()) -> dict:
     if missing:
         raise GapdimsError(f"missing key(s) in {what}: {', '.join(map(repr, missing))}")
     return cfg
+
+
+def check_value(value, what: str, lo=-math.inf, hi=math.inf, kind=Integral) -> None:
+    """Raise InvalidRangeError unless ``value`` is a ``kind`` number (never a bool) in [lo, hi]."""
+    if isinstance(value, bool) or not isinstance(value, kind) or not lo <= value <= hi:
+        noun = "an integer" if kind is Integral else "a number"
+        raise InvalidRangeError(f"{what} must be {noun} in [{lo}, {hi}], got {value!r}")

@@ -13,7 +13,7 @@ import json
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
-from numbers import Integral, Real
+from numbers import Real
 
 import numpy as np
 from scipy.special import gammaln, logsumexp
@@ -29,22 +29,16 @@ from .errors import (
     NotLevelComparableError,
     OutOfRegimeError,
     check_keys,
+    check_value,
 )
 from .sequences import GapSequence, LevelProfile, level_sums
 
 _LN2 = math.log(2.0)
 
 
-def _check_value(value, what: str, lo=-math.inf, hi=math.inf, kind=Integral) -> None:
-    """Raise InvalidRangeError unless ``value`` is a ``kind`` number (never a bool) in [lo, hi]."""
-    if isinstance(value, bool) or not isinstance(value, kind) or not lo <= value <= hi:
-        noun = "an integer" if kind is Integral else "a number"
-        raise InvalidRangeError(f"{what} must be {noun} in [{lo}, {hi}], got {value!r}")
-
-
 def _check_trials(trials, master_seed) -> None:
-    _check_value(trials, "trials", 1)
-    _check_value(master_seed, "master_seed")
+    check_value(trials, "trials", 1)
+    check_value(master_seed, "master_seed")
 
 
 # ---------------------------------------------------------------------------
@@ -145,8 +139,8 @@ def run_dichotomy_experiment(
     runs every task and returns the results in submission order.
     """
     _check_trials(trials, master_seed)
-    _check_value(workers, "workers", 1)
-    _check_value(w, "w", *LADDER_W)
+    check_value(workers, "workers", 1)
+    check_value(w, "w", *LADDER_W)
     p = _dichotomy_profile(a)
     d = depth_function(f, p, N_LEVELS - 1, clip=True)
     box = box_dim_estimate(p)
@@ -214,9 +208,9 @@ def critical_load(n: int, phi_n: int) -> float:
 
 
 def _check_max_load(w: int, n: int, phi_n: int) -> None:
-    _check_value(w, "w", 1, randmodel.MAX_DEPTH)
-    _check_value(n, "n", 1)
-    _check_value(phi_n, "phi_n", 1)
+    check_value(w, "w", 1, randmodel.MAX_DEPTH)
+    check_value(n, "n", 1)
+    check_value(phi_n, "phi_n", 1)
     if w < n + phi_n:
         raise DepthUnsupportedError(f"need W >= n + phi_n = {n + phi_n}, got {w}")
     margin = 0.05
@@ -279,8 +273,8 @@ def max_load_statistic(
 
 
 def _check_empty_bin(n_bins_log2: int, balls: int) -> None:
-    _check_value(n_bins_log2, "n_bins_log2", 1, randmodel.MAX_DEPTH)
-    _check_value(balls, "balls", 1)
+    check_value(n_bins_log2, "n_bins_log2", 1, randmodel.MAX_DEPTH)
+    check_value(balls, "balls", 1)
 
 
 def empty_bin_probability(n_bins_log2: int, balls: int, trials: int, master_seed: int) -> dict:
@@ -317,8 +311,8 @@ def length_constant(p: LevelProfile) -> float:
 
 
 def _interval_profile(a: GapSequence, w: int, n: int) -> LevelProfile:
-    _check_value(w, "w", 4, randmodel.MAX_DEPTH)
-    _check_value(n, "n", 2, w - 2)   # headroom below W
+    check_value(w, "w", 4, randmodel.MAX_DEPTH)
+    check_value(n, "n", 2, w - 2)   # headroom below W
     randmodel.check_depth(w, a)
     return _comparable_profile(a, max(n, 16), "the lemma's bounds")
 
@@ -480,7 +474,7 @@ def validate_thresholds(rules: dict) -> dict:
             raise GapdimsError(f"{side} rule defines no check")
         for key in FINAL_RULES:
             if key in rule:
-                _check_value(rule[key], f"{side} {key}", kind=Real)
+                check_value(rule[key], f"{side} {key}", kind=Real)
         out[side] = rule
     if out == {"sandwich": False}:
         raise GapdimsError("thresholds define no check")
@@ -551,7 +545,7 @@ def validate_manifest(manifest: dict) -> tuple[GapSequence, list[tuple[str, str,
                ("w", "name", "schema_version"))
     _check_trials(manifest["trials"], manifest["master_seed"])
     if "w" in manifest:
-        _check_value(manifest["w"], "w", *LADDER_W)
+        check_value(manifest["w"], "w", *LADDER_W)
     a = GapSequence.from_config(manifest["sequence"])
     if not isinstance(manifest["experiments"], list) or not manifest["experiments"]:
         raise GapdimsError("manifest 'experiments' must be a non-empty list")
@@ -565,7 +559,7 @@ def validate_manifest(manifest: dict) -> tuple[GapSequence, list[tuple[str, str,
         parsed = dict(check_keys(entry, f"experiments[{i}]", required,
                                  ("kind", "name", *optional)))
         if label is not None:
-            _check_value(parsed["min_frequency"], f"experiments[{i}] 'min_frequency'", kind=Real)
+            check_value(parsed["min_frequency"], f"experiments[{i}] 'min_frequency'", kind=Real)
         if kind == "dichotomy":
             if "w" not in manifest:
                 raise GapdimsError("a dichotomy entry needs the manifest's 'w'")
@@ -583,7 +577,7 @@ def run_manifest(manifest: dict, workers: int = 1) -> dict:
     """Validate a whole manifest, then run its experiments in order and
     evaluate every binding check; ``workers`` threads run dichotomy trials.
     Malformed input raises GapdimsError before the first trial."""
-    _check_value(workers, "workers", 1)
+    check_value(workers, "workers", 1)
     a, plan = validate_manifest(manifest)
     results = []
     for name, kind, entry in plan:

@@ -218,20 +218,17 @@ class LevelProfile:
 
 def level_sums(a: GapSequence, n_levels: int) -> LevelProfile:
     """Compute the profile s_0..s_{n_levels} plus tau/lambda/kappa hats."""
-    if n_levels < 0:
-        raise InsufficientDepthError("need a non-negative level count")
+    if n_levels < 1:
+        raise InsufficientDepthError(f"need at least one level, got {n_levels}")
     if not a.rule_based and 2 ** n_levels > a.max_index:
         raise InsufficientDepthError(
             f"N={n_levels} too deep for sequence with max index {a.max_index}"
         )
     log_s = a.log_level_sums(n_levels)
     s = np.exp(log_s)
-    if n_levels >= 1:
-        ratios = np.exp(np.diff(log_s))
-        tau_hat = float(ratios.min())
-        lambda_hat = float(ratios.max())
-    else:
-        tau_hat = lambda_hat = math.nan
+    ratios = np.exp(np.diff(log_s))
+    tau_hat = float(ratios.min())
+    lambda_hat = float(ratios.max())
 
     if a.rule_based:
         lengths = a.level_gap_lengths(n_levels + 1)

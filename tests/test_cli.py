@@ -201,3 +201,26 @@ def test_estimate_unknown_policy_key_fails(outdir, capsys):
     assert main(["estimate", "--seq", "middle-third", "--w", "10", "--seed", "1",
                  "--policy", '{"n_value": [4]}', "--out", "p"]) == 2
     assert "'n_value'" in _one_error_line(capsys)
+
+
+@pytest.mark.parametrize("policy,key", [
+    ('{"k_min": "1"}', "k_min"), ('{"n_values": 4}', "n_values"),
+    ('{"n_values": [4.5]}', "n_values"), ('{"n_values": []}', "n_values"),
+    ('{"max_centers": true}', "max_centers"), ('{"k_auto": true}', "k_auto"),
+    ("0", "window policy")])
+def test_estimate_malformed_policy_fails(outdir, capsys, policy, key):
+    assert main(["estimate", "--seq", "middle-third", "--w", "10", "--seed", "1",
+                 "--policy", policy, "--out", "p"]) == 2
+    assert key in _one_error_line(capsys)
+    assert not (outdir / "p.json").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["tailcheck", "--eta", "0"],
+    ["dims", "--seq", "middle-third", "--levels", "0"],
+    ["estimate", "--seq", "middle-third", "--w", "10", "--seed", "1", "--levels", "0"],
+])
+def test_zero_flag_values_are_checked_not_defaulted(outdir, capsys, argv):
+    assert main(argv + ["--out", "z"]) == 2
+    _one_error_line(capsys)
+    assert not (outdir / "z.json").exists()

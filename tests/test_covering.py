@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from gapdims import (
+    GapdimsError,
     InvalidRangeError,
     NoAdmissibleWindowError,
     TruncationViolationError,
@@ -169,7 +170,8 @@ def test_kernel_equals_serial_greedy_on_policies(w, seed):
     cases = [
         ("zero", None, WindowPolicy(n_values=(3, 5), k_min=1, k_max=3)),
         ("zero", None, WindowPolicy(n_spread=True, auto_n_count=4, max_centers=256)),
-        ("constant", 0.5, WindowPolicy(k_auto=True, margin_radius=True)),
+        # the ladder's deepest rungs fall below the truncation floor
+        ("constant", 0.5, WindowPolicy(n_values=(3,), k_min=1, k_max=8)),
     ]
     for family, param, policy in cases:
         f = make_dimension_function(family, param)
@@ -182,6 +184,7 @@ def test_kernel_equals_serial_greedy_on_policies(w, seed):
         assert got == want
         est = estimate_dimension(s, "upper", f, p, d, policy)
         assert [q.count_N for q in est.records] == [c for c in want if c >= 1]
+    assert max(k for _, k, *_ in wins) < policy.k_max   # the floor clipped the last ladder
 
 
 def test_cover_count_cantor_powers():
@@ -262,10 +265,24 @@ def test_policy_validation_and_round_trip():
         WindowPolicy(k_min=-1)
     with pytest.raises(InvalidRangeError):
         WindowPolicy(k_min=3, k_max=1)
-    with pytest.raises(InvalidRangeError):
-        WindowPolicy(radius_shrink=0.01)
     pol = WindowPolicy(n_values=(4,), k_min=2, k_max=5, max_centers=32)
     assert WindowPolicy.from_config(pol.to_config()) == pol
+
+
+RETIRED = {"k_auto": False, "margin_radius": False, "span_levels_max": None,
+           "center_seed": 0, "radius_shrink": 1e-9}
+
+
+def test_retired_policy_keys():
+    cfg = WindowPolicy(n_values=(4,), k_min=3, k_max=4).to_config()
+    assert WindowPolicy.from_config({**cfg, **RETIRED}) == WindowPolicy.from_config(cfg)
+    others = {"k_auto": [True, 0, None], "margin_radius": [True, 0],
+              "span_levels_max": [0, 6, False], "center_seed": [1, False, 0.0, None],
+              "radius_shrink": [0.0, 0.01, 1e-8, None]}
+    for key, values in others.items():
+        for value in values:
+            with pytest.raises(GapdimsError, match=f"window policy key '{key}'"):
+                WindowPolicy.from_config({**cfg, **RETIRED, key: value})
 
 
 def test_no_admissible_window_when_too_deep():
@@ -277,14 +294,3 @@ def test_no_admissible_window_when_too_deep():
     with pytest.raises(NoAdmissibleWindowError):
         enumerate_windows(s, f, p, d, WindowPolicy(n_values=(7,), k_min=3, k_max=5))
 
-
-def test_k_auto_extends_to_floor():
-    s = build_set(MID, 14, "cantor")
-    p = level_sums(MID, 20)
-    f = make_dimension_function("zero")
-    d = depth_function(f, p, 18)
-    wins = enumerate_windows(s, f, p, d, WindowPolicy(n_values=(3,), k_min=1, k_auto=True))
-    ks = {w[1] for w in wins}
-    assert max(ks) > 3   # deeper rungs than the default k_max appear
-    floor = s.truncation_floor()
-    assert all(w[4] >= floor for w in wins)

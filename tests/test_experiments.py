@@ -434,6 +434,24 @@ MALFORMED = {
     "policy pair of one": (put(*DICH, "policies", "8", value=[POLICY]), "pair"),
     "unknown policy key": (put(*DICH, "policies", "14", 0, "n_value", value=[4]),
                            "window policy: 'n_value'"),
+    "policy k_min a string": (put(*DICH, "policies", "14", 0, "k_min", value="1"),
+                              "k_min must be an integer"),
+    "policy n_values a number": (put(*DICH, "policies", "8", 1, "n_values", value=4),
+                                 "n_values must be null or a non-empty list"),
+    "policy n_values not integers": (chain(put(*DICH, "policies", "11", 0, "n_values",
+                                               value=[4.5]), max_load_first),
+                                     "n_values entries must be an integer"),
+    "policy n_values empty": (put(*DICH, "policies", "14", 1, "n_values", value=[]),
+                              "n_values must be null or a non-empty list"),
+    "policy max_centers a bool": (put(*DICH, "policies", "14", 0, "max_centers", value=True),
+                                  "max_centers must be an integer"),
+    "policy auto_n_count a float": (put(*DICH, "policies", "8", 0, "auto_n_count", value=2.0),
+                                    "auto_n_count must be an integer"),
+    "policy n_spread not a bool": (put(*DICH, "policies", "8", 0, "n_spread", value=1),
+                                   "n_spread must be true or false"),
+    "policy removed key at another value": (put(*DICH, "policies", "11", 1, "margin_radius",
+                                                value=True),
+                                            "window policy key 'margin_radius' is removed"),
     "unknown dimension-function key": (put(*DICH, "dimension_function", "parm", value=1),
                                        "'parm'"),
     "dimension function without family": (drop(*DICH, "dimension_function", "family"),
