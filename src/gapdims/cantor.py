@@ -45,9 +45,9 @@ class FormulaEstimate:
         }
 
 
-def _window_extrema(p: LevelProfile, d: DepthTable, n_levels: int, sign: float):
+def _window_extrema(d: DepthTable, n_levels: int, sign: float):
     """Per-k extremum of sign * exponent over admissible n; exact O(N^2) sweep."""
-    log_s = p.log_s
+    log_s = d.profile.log_s
     best_val = {}
     best_n = {}
     skipped = 0
@@ -65,11 +65,11 @@ def _window_extrema(p: LevelProfile, d: DepthTable, n_levels: int, sign: float):
     return best_val, best_n, skipped
 
 
-def _formula_estimate(p: LevelProfile, d: DepthTable, n_levels: int, direction: str) -> FormulaEstimate:
-    if n_levels > p.n_max:
-        raise InsufficientDepthError(f"profile has {p.n_max} levels, need {n_levels}")
+def _formula_estimate(d: DepthTable, n_levels: int, direction: str) -> FormulaEstimate:
+    if n_levels > d.profile.n_max:
+        raise InsufficientDepthError(f"profile has {d.profile.n_max} levels, need {n_levels}")
     sign = 1.0 if direction == "upper" else -1.0
-    per_k, per_k_n, skipped = _window_extrema(p, d, n_levels, sign)
+    per_k, per_k_n, skipped = _window_extrema(d, n_levels, sign)
     if not per_k:
         raise NoAdmissibleWindowError("phi(k) exceeds N - k for every level k")
 
@@ -98,14 +98,15 @@ def _formula_estimate(p: LevelProfile, d: DepthTable, n_levels: int, direction: 
     )
 
 
-def upper_phi_dim_formula(p: LevelProfile, d: DepthTable, n_levels: int) -> FormulaEstimate:
-    """Upper dimension of the Cantor arrangement from the window-ratio formula."""
-    return _formula_estimate(p, d, n_levels, "upper")
+def upper_phi_dim_formula(d: DepthTable, n_levels: int) -> FormulaEstimate:
+    """Upper dimension of the Cantor arrangement from the window-ratio
+    formula on ``d.profile``'s first ``n_levels`` levels."""
+    return _formula_estimate(d, n_levels, "upper")
 
 
-def lower_phi_dim_formula(p: LevelProfile, d: DepthTable, n_levels: int) -> FormulaEstimate:
+def lower_phi_dim_formula(d: DepthTable, n_levels: int) -> FormulaEstimate:
     """Lower dimension: mirror image (min in place of max)."""
-    return _formula_estimate(p, d, n_levels, "lower")
+    return _formula_estimate(d, n_levels, "lower")
 
 
 def box_dim_estimate(p: LevelProfile) -> float:

@@ -36,8 +36,6 @@ from .errors import GapdimsError, check_keys
 from .randmodel import build_set
 from .sequences import GapSequence, make_sequence, level_sums
 
-SCHEMA_VERSION = 1
-
 
 # ---------------------------------------------------------------------------
 # spec parsing
@@ -80,7 +78,7 @@ def out_path(name: str, ext: str, args) -> str:
 
 def write_json(path: str, payload: dict) -> None:
     payload = dict(payload)
-    payload["schema_version"] = SCHEMA_VERSION
+    payload["schema_version"] = experiments.SCHEMA_VERSION
     with open(path, "w") as fh:
         json.dump(payload, fh, sort_keys=True, separators=(",", ":"))
         fh.write("\n")
@@ -89,21 +87,18 @@ def write_json(path: str, payload: dict) -> None:
 def write_csv(path: str, header: list[str], rows) -> None:
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(["schema_version", SCHEMA_VERSION])
+        w.writerow(["schema_version", experiments.SCHEMA_VERSION])
         w.writerow(header)
         w.writerows(rows)
 
 
-def merge_config(args, keys: list[str]) -> None:
-    """Config-file values fill in flags the user did not pass; a key that
-    names no option of the command is an error."""
-    if not getattr(args, "config", None):
-        return
+def config_flags(args) -> list[str]:
+    """The ``--config`` file's keys as ``--key=value`` flags (a string as it
+    is, any other value as JSON); a key that names no option is an error."""
     with open(args.config) as fh:
-        file_cfg = check_keys(json.load(fh), f"config file {args.config}", optional=keys)
-    for key in keys:
-        if getattr(args, key, None) is None and key in file_cfg:
-            setattr(args, key, file_cfg[key])
+        cfg = check_keys(json.load(fh), f"config file {args.config}", optional=args.options)
+    return [f"{args.options[key]}={value if isinstance(value, str) else json.dumps(value)}"
+            for key, value in cfg.items()]
 
 
 # ---------------------------------------------------------------------------
@@ -118,18 +113,15 @@ def _require(args, *keys) -> None:
 
 
 def cmd_dims(args) -> int:
-    merge_config(args, ["seq", "phi", "levels"])
     _require(args, "seq")
     a = parse_sequence(args.seq)
-    phi = "zero" if args.phi is None else args.phi
-    f = parse_phi(phi)
-    levels = 64 if args.levels is None else args.levels
-    p = level_sums(a, levels)
+    f = parse_phi(args.phi)
+    p = level_sums(a, args.levels)
     d = depth_function(f, p, p.n_max, clip=True)
-    up = upper_phi_dim_formula(p, d, p.n_max)
-    lo = lower_phi_dim_formula(p, d, p.n_max)
+    up = upper_phi_dim_formula(d, p.n_max)
+    lo = lower_phi_dim_formula(d, p.n_max)
     payload = {
-        "config": {"seq": args.seq, "phi": phi, "levels": levels,
+        "config": {"seq": args.seq, "phi": args.phi, "levels": args.levels,
                    "sequence": a.to_config(), "dimension_function": f.to_config()},
         "upper": up.to_record(),
         "lower": lo.to_record(),
@@ -144,7 +136,6 @@ def cmd_dims(args) -> int:
 
 
 def cmd_sample(args) -> int:
-    merge_config(args, ["seq", "w", "arrangement", "seed"])
     _require(args, "seq", "w")
     a = parse_sequence(args.seq)
     s = build_set(a, args.w, args.arrangement, seed=args.seed)
@@ -164,21 +155,17 @@ def cmd_sample(args) -> int:
 
 
 def cmd_estimate(args) -> int:
-    merge_config(args, ["seq", "phi", "w", "arrangement", "seed", "levels",
-                        "policy"])
     _require(args, "seq", "w")
     a = parse_sequence(args.seq)
-    phi = "zero" if args.phi is None else args.phi
-    f = parse_phi(phi)
-    levels = 60 if args.levels is None else args.levels
-    p = level_sums(a, levels)
-    d = depth_function(f, p, levels - 1, clip=True)
+    f = parse_phi(args.phi)
+    p = level_sums(a, args.levels)
+    d = depth_function(f, p, args.levels - 1, clip=True)
     policy = WindowPolicy() if args.policy is None else WindowPolicy.from_config(args.policy)
     s = build_set(a, args.w, args.arrangement, seed=args.seed)
     directions = ("upper", "lower") if args.direction == "both" else (args.direction,)
     summary = {"config": {
-        "seq": args.seq, "phi": phi, "w": args.w,
-        "arrangement": args.arrangement, "seed": args.seed, "levels": levels,
+        "seq": args.seq, "phi": args.phi, "w": args.w,
+        "arrangement": args.arrangement, "seed": args.seed, "levels": args.levels,
         "direction": args.direction, "policy": policy.to_config(),
         "sequence": a.to_config(), "dimension_function": f.to_config(),
     }}
@@ -217,19 +204,18 @@ DEFAULT_GRID = [(256 * 2 ** 8, 8), (512 * 2 ** 8, 8), (1024 * 2 ** 8, 8),
 
 
 def cmd_tailcheck(args) -> int:
-    if args.grid in (None, "default"):
+    if args.grid == "default":
         grid = DEFAULT_GRID
     else:
         grid = [tuple(int(v) for v in pair.split(":")) for pair in args.grid.split(",")]
-    eta = 1.0 / 12.0 if args.eta is None else args.eta
-    rows = experiments.binomial_tail_check(grid, eta)
+    rows = experiments.binomial_tail_check(grid, args.eta)
     ok = all(
         row.exact_two_sided_tail <= row.dml_bound
         and (not row.corollary_in_hypothesis
              or max(row.exact_upper_tail, row.exact_lower_tail) <= row.corollary_bound)
         for row in rows if row.in_hypothesis)
     write_json(out_path("", "json", args), {
-        "config": {"grid": [list(g) for g in grid], "eta": eta},
+        "config": {"grid": [list(g) for g in grid], "eta": args.eta},
         "rows": [r.to_record() for r in rows],
         "pass": ok,
     })
@@ -250,13 +236,16 @@ def build_parser() -> argparse.ArgumentParser:
     sub = top.add_subparsers(dest="command", required=True)
 
     def common(p, config=True):
-        if config:
-            p.add_argument("--config", help="JSON config file; flags override its keys")
         p.add_argument("--out", help="output basename (or absolute path prefix)")
+        if config:
+            p.add_argument("--config", help="JSON file of option values, each read as "
+                           "--key=value before the flags, which win")
+            p.set_defaults(options={a.dest: a.option_strings[0] for a in p._actions
+                                    if a.dest not in ("help", "config")})
 
     p = sub.add_parser("dims", help="formula dimensions of the rule-based set")
-    p.add_argument("--seq"); p.add_argument("--phi")
-    p.add_argument("--levels", type=int)
+    p.add_argument("--seq"); p.add_argument("--phi", default="zero")
+    p.add_argument("--levels", type=int, default=64)
     common(p); p.set_defaults(func=cmd_dims)
 
     p = sub.add_parser("sample", help="write the gap table of one arrangement")
@@ -267,11 +256,11 @@ def build_parser() -> argparse.ArgumentParser:
     common(p); p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("estimate", help="window-sweep dimension estimate")
-    p.add_argument("--seq"); p.add_argument("--phi")
+    p.add_argument("--seq"); p.add_argument("--phi", default="zero")
     p.add_argument("--w", "--W", dest="w", type=int)
     p.add_argument("--arrangement", default="random",
                    choices=["random", "cantor", "decreasing"])
-    p.add_argument("--seed", type=int); p.add_argument("--levels", type=int)
+    p.add_argument("--seed", type=int); p.add_argument("--levels", type=int, default=60)
     p.add_argument("--direction", default="both", choices=["upper", "lower", "both"])
     p.add_argument("--policy", type=json.loads,
                    help="window policy as inline JSON")
@@ -283,15 +272,20 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, config=False); p.set_defaults(func=cmd_experiment)
 
     p = sub.add_parser("tailcheck", help="exact binomial tails vs bounds")
-    p.add_argument("--grid", help="'default' or comma list of M:N pairs")
-    p.add_argument("--eta", type=float)
+    p.add_argument("--grid", default="default", help="'default' or comma list of M:N pairs")
+    p.add_argument("--eta", type=float, default=1.0 / 12.0)
     common(p, config=False); p.set_defaults(func=cmd_tailcheck)
     return top
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     try:
+        if getattr(args, "config", None):
+            # after the command name and before the user's flags, which win
+            args = parser.parse_args(argv[:1] + config_flags(args) + argv[1:])
         return args.func(args)
     except (GapdimsError, OSError, ValueError) as exc:   # ValueError: malformed JSON or numbers
         print(f"error: {exc}", file=sys.stderr)

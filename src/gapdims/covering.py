@@ -179,7 +179,6 @@ class DimensionEstimate:
     records: tuple[CoverQuery, ...]
     depth_used: int
     window_policy: dict
-    extremal: CoverQuery
 
     def to_record(self) -> dict:
         return {
@@ -223,15 +222,16 @@ def _pick_centers(s: ApproxSet, n: int, policy: WindowPolicy) -> np.ndarray:
     return centers[keep]
 
 
-def enumerate_windows(s: ApproxSet, f: DimensionFunction, p: LevelProfile,
-                      d: DepthTable, policy: WindowPolicy) -> list[tuple[int, int, float, float, float]]:
+def enumerate_windows(s: ApproxSet, d: DepthTable,
+                      policy: WindowPolicy) -> list[tuple[int, int, float, float, float]]:
     """Admissible (n, k, x, R, r) windows under the policy.
 
-    R is the level-n scale s_n, shaved by RADIUS_SHRINK, and r runs over
-    s_{n + phi(n) + k}.  Pairs with r >= R and radii below the truncation
-    floor are skipped; NoAdmissibleWindowError is raised only when no
-    window is left.
+    R is the level-n scale s_n of ``d.profile``, shaved by RADIUS_SHRINK,
+    and r runs over s_{n + phi(n) + k}.  Pairs with r >= R and radii below
+    the truncation floor are skipped; NoAdmissibleWindowError is raised
+    only when no window is left.
     """
+    p = d.profile
     floor = s.truncation_floor()
     n_values = policy.n_values or _auto_n_values(d, s.w, floor, policy)
     if not n_values:
@@ -256,15 +256,18 @@ def estimate_dimension(s: ApproxSet, direction: str, f: DimensionFunction,
                        p: LevelProfile, d: DepthTable, policy: WindowPolicy) -> DimensionEstimate:
     """Window-sweep estimate of one Phi-dimension direction.
 
-    ``direction`` "upper" takes the max exponent over windows, "lower"
-    the min; empty windows (count 0) are skipped — centers lie in the
-    set, so they only arise from subsampled neighbors.  All windows are
-    counted in one lockstep sweep; the reduction is a deterministic
+    Only ``d`` is read; ``f`` and ``p`` must be the Phi and the profile
+    it was built from.  "upper" takes the max exponent over windows,
+    "lower" the min; empty windows (count 0) are skipped — centers lie in
+    the set, so they only arise from subsampled neighbors.  All windows
+    are counted in one lockstep sweep; the reduction is a deterministic
     extremum with a lexicographic tie-break on the window.
     """
     if direction not in ("upper", "lower"):
         raise InvalidRangeError(f"direction must be upper or lower, got {direction!r}")
-    windows = enumerate_windows(s, f, p, d, policy)
+    if p is not d.profile or f != d.func:
+        raise InvalidRangeError("f and p must be the Phi and the profile that d was built from")
+    windows = enumerate_windows(s, d, policy)
     _, _, x, big_r, r = (np.array(col) for col in zip(*windows))
     counts = _cover_counts(*s.solid_segments(), x - big_r, x + big_r, r)
     records = [CoverQuery(n=n, k=k, center_x=cx, radius_R=cR, scale_r=cr, count_N=c)
@@ -276,5 +279,5 @@ def estimate_dimension(s: ApproxSet, direction: str, f: DimensionFunction,
     return DimensionEstimate(
         direction=direction, beta_hat=extremal.exponent,
         records=tuple(records), depth_used=s.w,
-        window_policy=policy.to_config(), extremal=extremal,
+        window_policy=policy.to_config(),
     )

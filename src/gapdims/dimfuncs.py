@@ -22,10 +22,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from numbers import Real
 
 import numpy as np
 
-from .errors import InsufficientDepthError, OutOfDomainError, check_keys
+from .errors import InsufficientDepthError, OutOfDomainError, check_keys, check_value
 from .sequences import LevelProfile
 
 _FAMILIES = ("zero", "constant", "inverse-log", "psi", "scaled-psi", "power-log", "tabulated")
@@ -93,6 +94,8 @@ def make_dimension_function(family: str, param=None, grid=None) -> DimensionFunc
     """Validating factory; checks positivity and the monotone-scaling law."""
     if family not in _FAMILIES:
         raise OutOfDomainError(f"unknown family {family!r}")
+    if param is not None:
+        check_value(param, f"{family} parameter", kind=Real)
     if family in ("constant", "inverse-log", "scaled-psi"):
         if param is None or param <= 0:
             raise OutOfDomainError(f"{family} needs a positive parameter")

@@ -9,7 +9,6 @@ manifest of them, then runs each one and evaluates its binding checks.
 
 from __future__ import annotations
 
-import json
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
@@ -34,6 +33,7 @@ from .errors import (
 from .sequences import GapSequence, LevelProfile, level_sums
 
 _LN2 = math.log(2.0)
+SCHEMA_VERSION = 1    # of every report and CSV file the package writes
 
 
 def _check_trials(trials, master_seed) -> None:
@@ -78,12 +78,9 @@ class ExperimentReport:
     targets: dict
 
     def to_record(self) -> dict:
-        return {"schema_version": 1, "kind": self.kind, "config": self.config,
+        return {"schema_version": SCHEMA_VERSION, "kind": self.kind, "config": self.config,
                 "master_seed": self.master_seed, "targets": self.targets,
                 "depths": [s.to_record() for s in self.summaries]}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_record(), sort_keys=True, separators=(",", ":"))
 
 
 def _comparable_profile(a: GapSequence, levels: int, claim: str) -> LevelProfile:
@@ -97,10 +94,11 @@ def _dichotomy_profile(a: GapSequence) -> LevelProfile:
     return _comparable_profile(a, N_LEVELS, "dichotomy theorems")
 
 
-def _betas(a, f, p, d, depth, arrangement, seed, policies) -> tuple[float, float]:
-    """(upper, lower) estimates on one arrangement at one ladder depth."""
-    s = randmodel.build_set(a, depth, arrangement, seed=seed)
-    return tuple(estimate_dimension(s, direction, f, p, d, pol).beta_hat
+def _betas(d, depth, arrangement, seed, policies) -> tuple[float, float]:
+    """(upper, lower) estimates on one arrangement of ``d.profile``'s
+    sequence at one ladder depth."""
+    s = randmodel.build_set(d.profile.sequence, depth, arrangement, seed=seed)
+    return tuple(estimate_dimension(s, direction, d.func, d.profile, d, pol).beta_hat
                  for direction, pol in zip(("upper", "lower"), policies[depth]))
 
 
@@ -152,7 +150,7 @@ def run_dichotomy_experiment(
     tasks = [(depth, arrangement, seed) for depth in depths
              for arrangement, seed in [*(("random", s) for s in seeds), ("cantor", None)]]
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        betas = list(pool.map(lambda task: _betas(a, f, p, d, *task, policies), tasks))
+        betas = list(pool.map(lambda task: _betas(d, *task, policies), tasks))
 
     summaries = []
     for i, depth in enumerate(depths):
@@ -171,8 +169,8 @@ def run_dichotomy_experiment(
         ))
 
     n_formula = min(p.n_max, 2 * N_LEVELS // 3)
-    targets = dict(zip(TARGETS, (upper_phi_dim_formula(p, d, n_formula).beta_limit,
-                                 lower_phi_dim_formula(p, d, n_formula).beta_limit,
+    targets = dict(zip(TARGETS, (upper_phi_dim_formula(d, n_formula).beta_limit,
+                                 lower_phi_dim_formula(d, n_formula).beta_limit,
                                  box, 1.0, 0.0)))
     config = {
         "sequence": a.to_config(),
@@ -252,7 +250,7 @@ def max_load_statistic(
     hist_vals, hist_counts = np.unique(loads, return_counts=True)
     empties = [r["empty_bin"] for r in rows if "empty_bin" in r]
     return {
-        "schema_version": 1,
+        "schema_version": SCHEMA_VERSION,
         "kind": "max_load",
         "config": {"sequence": a.to_config(), "w": w, "n": n,
                    "phi_n": phi_n, "trials": trials,
@@ -289,7 +287,7 @@ def empty_bin_probability(n_bins_log2: int, balls: int, trials: int, master_seed
         hits += int(not occupied.all())
     lam = bins * math.exp(-balls / bins)
     return {
-        "schema_version": 1,
+        "schema_version": SCHEMA_VERSION,
         "kind": "empty_bin",
         "config": {"n_bins_log2": n_bins_log2, "balls": balls, "trials": trials},
         "master_seed": master_seed,
@@ -339,7 +337,7 @@ def interval_length_lemma_check(
     max_lens = np.array([r["max_len_n"] for r in rows])
     cl, cr = randmodel.build_set(a, w, "cantor").level_intervals(n)
     return {
-        "schema_version": 1,
+        "schema_version": SCHEMA_VERSION,
         "kind": "interval_length",
         "config": {"sequence": a.to_config(), "w": w, "n": n, "trials": trials},
         "master_seed": master_seed,

@@ -53,10 +53,7 @@ def _cantor_positions(w: int) -> np.ndarray:
 class ApproxSet:
     """Depth-W approximation of a complementary set under one arrangement."""
 
-    sequence: GapSequence
     w: int
-    arrangement: str                 # "random" | "cantor" | "decreasing"
-    seed: int | None
     order: np.ndarray                # order[p] = gap index at position p
     gap_left: np.ndarray             # left endpoint of gap order[p]
     gap_len: np.ndarray              # length of gap order[p]
@@ -107,15 +104,13 @@ class ApproxSet:
         }
 
 
-def _assemble(sequence: GapSequence, w: int, arrangement: str, seed: int | None,
-              order: np.ndarray, slot_mass: np.ndarray) -> ApproxSet:
+def _assemble(sequence: GapSequence, w: int, order: np.ndarray,
+              slot_mass: np.ndarray) -> ApproxSet:
     gap_len = sequence.gap_lengths(order)
     # slot p | gap p | slot p+1 | gap p+1 | ... ; endpoints by prefix sums
     gap_left = np.cumsum(slot_mass[:-1]) + np.concatenate([[0.0], np.cumsum(gap_len[:-1])])
-    return ApproxSet(
-        sequence=sequence, w=w, arrangement=arrangement, seed=seed,
-        order=order, gap_left=gap_left, gap_len=gap_len, slot_mass=slot_mass,
-    )
+    return ApproxSet(w=w, order=order, gap_left=gap_left, gap_len=gap_len,
+                     slot_mass=slot_mass)
 
 
 def build_set(sequence: GapSequence, w: int, arrangement: str, seed: int | None = None) -> ApproxSet:
@@ -151,7 +146,7 @@ def build_set(sequence: GapSequence, w: int, arrangement: str, seed: int | None 
         slot_mass[0] = tail
     else:
         raise ValueError(f"unknown arrangement {arrangement!r}")
-    return _assemble(sequence, w, arrangement, seed, order, slot_mass)
+    return _assemble(sequence, w, order, slot_mass)
 
 
 def slot_counts(seed: int, w: int, n: int, bounds: tuple[int, ...]) -> np.ndarray:

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from numbers import Real
 
 import numpy as np
 
@@ -36,11 +37,13 @@ from .errors import (
     NotDecreasingError,
     NotNormalizedError,
     check_keys,
+    check_value,
 )
 
 MAX_RULE_LEVEL = 400
 MAX_EXPLICIT = 2 ** 24
 _HALF_MARGIN = 1e-9  # strictness margin for ratio < 1/2 tests
+_RATIO_COUNTS = {"constant": (1, 1), "periodic": (1, math.inf), "blocks": (2, 2)}
 
 
 def _ratio_table(schedule: str, ratios: tuple[float, ...], n_levels: int) -> np.ndarray:
@@ -165,17 +168,19 @@ def make_sequence(
         if ratios is None:
             raise InvalidRatioError("central sequence needs at least one ratio")
         if np.isscalar(ratios):
-            ratios = [float(ratios)]
-        ratios = tuple(float(r) for r in ratios)
+            ratios = [ratios]
+        if schedule not in tuple(_RATIO_COUNTS):   # a tuple: unhashable is just unknown
+            raise InvalidRatioError(f"unknown schedule {schedule!r}")
+        lo, hi = _RATIO_COUNTS[schedule]
+        if not lo <= len(ratios) <= hi:
+            want = f"exactly {lo}" if lo == hi else f"at least {lo}"
+            raise InvalidRatioError(
+                f"{schedule} schedule takes {want} ratio(s), got {len(ratios)}")
         for r in ratios:
+            check_value(r, "ratio", kind=Real)
             if not (0.0 < r < 0.5):
                 raise InvalidRatioError(f"ratio {r} outside (0, 1/2)")
-        if schedule == "constant" and len(ratios) != 1:
-            raise InvalidRatioError("constant schedule takes exactly one ratio")
-        if schedule == "blocks" and len(ratios) != 2:
-            raise InvalidRatioError("blocks schedule takes exactly two ratios")
-        if schedule not in ("constant", "periodic", "blocks"):
-            raise InvalidRatioError(f"unknown schedule {schedule!r}")
+        ratios = tuple(float(r) for r in ratios)
         return GapSequence(kind="central", schedule=schedule, ratios=ratios)
 
     if kind == "explicit":

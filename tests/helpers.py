@@ -1,13 +1,20 @@
-"""Test-side views of the random model that the package itself never needs.
+"""Test-side views that the package itself never needs.
 
-Each one recomputes a quantity from the public fields of an arrangement
-or from the label stream, so tests can cross-check the package's
-shortcuts against plain geometry.
+Each one recomputes a quantity from the public fields of an arrangement,
+from the label stream or from a report, so tests can cross-check the
+package's shortcuts against plain geometry and compare reports as bytes.
 """
+
+import json
 
 import numpy as np
 
 from gapdims import rng
+
+
+def report_json(report) -> str:
+    """A dichotomy report's bytes as the CLI writes them (sorted, compact)."""
+    return json.dumps(report.to_record(), sort_keys=True, separators=(",", ":"))
 
 
 def omega_labels(seed: int, w: int) -> np.ndarray:

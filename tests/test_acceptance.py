@@ -35,6 +35,7 @@ from gapdims import (
 from gapdims.covering import WindowPolicy
 from gapdims.rng import derive_seed
 
+from helpers import report_json
 from test_covering import _greedy_count, batched_counts, exhaustive_cover
 
 LN2 = math.log(2.0)
@@ -62,8 +63,8 @@ def test_criterion_01_formula_recovers_geometric_rate():
         for f in fs:
             t0 = time.perf_counter()
             d = depth_function(f, p, 64, clip=True)
-            up = upper_phi_dim_formula(p, d, 64).beta_limit
-            lo = lower_phi_dim_formula(p, d, 64).beta_limit
+            up = upper_phi_dim_formula(d, 64).beta_limit
+            lo = lower_phi_dim_formula(d, 64).beta_limit
             elapsed = time.perf_counter() - t0
             assert abs(up - want) <= 1e-3, (r, f.family, up, want)
             assert abs(lo - want) <= 1e-3, (r, f.family, lo, want)
@@ -76,8 +77,8 @@ def test_criterion_02_block_schedule_split_with_brute_force():
     a = make_sequence("central", ratios=[0.2, 0.45], schedule="blocks")
     p = level_sums(a, 128)
     d = depth_function(make_dimension_function("constant", 0.5), p, 85, clip=True)
-    up = upper_phi_dim_formula(p, d, 128)
-    lo = lower_phi_dim_formula(p, d, 128)
+    up = upper_phi_dim_formula(d, 128)
+    lo = lower_phi_dim_formula(d, 128)
     assert abs(up.beta_limit - LN2 / abs(math.log(0.45))) <= 5e-3
     assert abs(lo.beta_limit - LN2 / math.log(5.0)) <= 5e-3
     # independent brute force over every admissible (k, n) window
@@ -133,8 +134,8 @@ def test_criterion_05_proposition_invariants(manifest_outcome):
         make_dimension_function("inverse-log", 1.0),
         make_dimension_function("constant", 0.5),
         make_dimension_function("constant", 1.0))]
-    ups = [upper_phi_dim_formula(p, d, 128).beta_limit for d in ds]
-    los = [lower_phi_dim_formula(p, d, 128).beta_limit for d in ds]
+    ups = [upper_phi_dim_formula(d, 128).beta_limit for d in ds]
+    los = [lower_phi_dim_formula(d, 128).beta_limit for d in ds]
     assert all(u2 <= u1 + 1e-12 for u1, u2 in zip(ups, ups[1:]))
     assert all(l2 >= l1 - 1e-12 for l1, l2 in zip(los, los[1:]))
     # (b) per-trial sandwich lower <= box <= upper over every manifest trial
@@ -239,7 +240,7 @@ def test_criterion_12_byte_identical_reproducibility(tmp_path):
     blobs = set()
     for workers in (1, 1, 4):
         rep = run_dichotomy_experiment(MID, f, 14, 8, 99, policies, workers=workers)
-        blobs.add(rep.to_json())
+        blobs.add(report_json(rep))
     assert len(blobs) == 1
     r1 = max_load_statistic(MID, 16, 10, 2, 40, master_seed=3)
     r2 = max_load_statistic(MID, 16, 10, 2, 40, master_seed=3)

@@ -36,8 +36,8 @@ def test_geometric_schedule_is_exact():
         a = make_sequence("central", ratios=r)
         p = level_sums(a, 64)
         d = depth_function(make_dimension_function("zero"), p, 64)
-        up = upper_phi_dim_formula(p, d, 64)
-        lo = lower_phi_dim_formula(p, d, 64)
+        up = upper_phi_dim_formula(d, 64)
+        lo = lower_phi_dim_formula(d, 64)
         want = LN2 / abs(math.log(r))
         assert up.beta_limit == pytest.approx(want, abs=1e-12)
         assert lo.beta_limit == pytest.approx(want, abs=1e-12)
@@ -50,8 +50,8 @@ def test_block_schedule_directions_split():
     p = level_sums(a, 128)
     f = make_dimension_function("constant", 0.5)
     d = depth_function(f, p, 85, clip=True)
-    up = upper_phi_dim_formula(p, d, 128)
-    lo = lower_phi_dim_formula(p, d, 128)
+    up = upper_phi_dim_formula(d, 128)
+    lo = lower_phi_dim_formula(d, 128)
     assert up.beta_limit == pytest.approx(LN2 / abs(math.log(0.45)), abs=5e-3)
     assert lo.beta_limit == pytest.approx(LN2 / abs(math.log(0.2)), abs=5e-3)
 
@@ -61,8 +61,8 @@ def test_formula_matches_brute_force():
     p = level_sums(a, 96)
     f = make_dimension_function("constant", 0.5)
     d = depth_function(f, p, 64, clip=True)
-    up = upper_phi_dim_formula(p, d, 96)
-    lo = lower_phi_dim_formula(p, d, 96)
+    up = upper_phi_dim_formula(d, 96)
+    lo = lower_phi_dim_formula(d, 96)
     k0 = up.k0_ladder[-1][0]
     assert up.beta_limit == pytest.approx(
         brute_force_extremum(p.log_s, d, 96, k0, "max"), abs=1e-12)
@@ -76,8 +76,8 @@ def test_ladder_monotonicity():
     a = make_sequence("central", ratios=[0.2, 0.45], schedule="blocks")
     p = level_sums(a, 128)
     d = depth_function(make_dimension_function("constant", 0.5), p, 85, clip=True)
-    up = [b for _, b in upper_phi_dim_formula(p, d, 128).k0_ladder]
-    lo = [b for _, b in lower_phi_dim_formula(p, d, 128).k0_ladder]
+    up = [b for _, b in upper_phi_dim_formula(d, 128).k0_ladder]
+    lo = [b for _, b in lower_phi_dim_formula(d, 128).k0_ladder]
     assert all(b2 <= b1 + 1e-12 for b1, b2 in zip(up, up[1:]))
     assert all(b2 >= b1 - 1e-12 for b1, b2 in zip(lo, lo[1:]))
 
@@ -88,8 +88,8 @@ def test_upper_atleast_box_atleast_lower():
         a = make_sequence("central", ratios=ratios, schedule=schedule)
         p = level_sums(a, 96)
         d = depth_function(make_dimension_function("zero"), p, 96)
-        up = upper_phi_dim_formula(p, d, 96).beta_limit
-        lo = lower_phi_dim_formula(p, d, 96).beta_limit
+        up = upper_phi_dim_formula(d, 96).beta_limit
+        lo = lower_phi_dim_formula(d, 96).beta_limit
         box = box_dim_estimate(p)
         assert lo - 1e-12 <= box <= up + 1e-12
 
@@ -101,7 +101,7 @@ def test_too_shallow_profile_raises():
     d = depth_function(f, p, 20, clip=True)
     # phi(k) = k leaves no admissible n above k0 = 4 when N is tiny
     with pytest.raises(NoAdmissibleWindowError):
-        upper_phi_dim_formula(p, d, 7)
+        upper_phi_dim_formula(d, 7)
 
 
 def test_monotone_in_dimension_function():
@@ -114,8 +114,8 @@ def test_monotone_in_dimension_function():
           make_dimension_function("constant", 0.5),
           make_dimension_function("constant", 1.0)]
     ds = [depth_function(f, p, 64, clip=True) for f in fs]
-    ups = [upper_phi_dim_formula(p, d, 128).beta_limit for d in ds]
-    los = [lower_phi_dim_formula(p, d, 128).beta_limit for d in ds]
+    ups = [upper_phi_dim_formula(d, 128).beta_limit for d in ds]
+    los = [lower_phi_dim_formula(d, 128).beta_limit for d in ds]
     assert all(u2 <= u1 + 1e-12 for u1, u2 in zip(ups, ups[1:]))
     assert all(l2 >= l1 - 1e-12 for l1, l2 in zip(los, los[1:]))
 

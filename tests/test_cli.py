@@ -121,6 +121,37 @@ def test_config_file_and_flag_override(outdir, tmp_path):
     assert rep["config"]["levels"] == 64      # file fills the gap
 
 
+def test_config_values_are_read_by_the_flag_parsers(outdir, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seq": "middle-third", "levels": "64"}))
+    assert main(["dims", "--config", str(cfg), "--out", "c"]) == 0
+    assert json.loads((outdir / "c.json").read_text())["config"]["levels"] == 64
+    # the file's arrangement replaces the flag's default, as --arrangement cantor would
+    cfg.write_text(json.dumps({"seq": "middle-third", "w": 8, "arrangement": "cantor"}))
+    assert main(["sample", "--config", str(cfg), "--out", "s"]) == 0
+    assert main(["sample", "--seq", "middle-third", "--w", "8", "--arrangement", "cantor",
+                 "--out", "f"]) == 0
+    assert json.loads((outdir / "s.json").read_text())["config"]["arrangement"] == "cantor"
+    assert (outdir / "s.gaps.csv").read_bytes() == (outdir / "f.gaps.csv").read_bytes()
+
+
+@pytest.mark.parametrize("command,cfg,flag", [
+    ("sample", {"w": 10.5, "seed": 1}, "--w"),
+    ("estimate", {"w": 10.0, "seed": 1}, "--w"),
+    ("estimate", {"w": 10, "seed": True}, "--seed"),
+    ("dims", {"levels": False}, "--levels"),
+    ("sample", {"w": 8, "arrangement": "spiral"}, "--arrangement"),
+])
+def test_config_value_the_flag_refuses_exits_2(outdir, tmp_path, capsys, command, cfg, flag):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"seq": "middle-third", **cfg}))
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", str(path), "--out", "c"])
+    assert exc.value.code == 2
+    assert f"argument {flag}" in capsys.readouterr().err
+    assert list(outdir.glob("c.*")) == []
+
+
 def test_tailcheck_default_grid(outdir):
     assert main(["tailcheck", "--grid", "default", "--out", "t"]) == 0
     rep = json.loads((outdir / "t.json").read_text())
@@ -223,4 +254,10 @@ def test_estimate_malformed_policy_fails(outdir, capsys, policy, key):
 def test_zero_flag_values_are_checked_not_defaulted(outdir, capsys, argv):
     assert main(argv + ["--out", "z"]) == 2
     _one_error_line(capsys)
+    assert not (outdir / "z.json").exists()
+
+
+def test_sequence_spec_without_ratios_exits_2(outdir, capsys):
+    assert main(["dims", "--seq", "periodic:", "--out", "z"]) == 2
+    assert "periodic schedule takes at least 1 ratio" in _one_error_line(capsys)
     assert not (outdir / "z.json").exists()

@@ -176,7 +176,7 @@ def test_kernel_equals_serial_greedy_on_policies(w, seed):
     for family, param, policy in cases:
         f = make_dimension_function(family, param)
         d = depth_function(f, p, 28, clip=True)
-        wins = enumerate_windows(s, f, p, d, policy)
+        wins = enumerate_windows(s, d, policy)
         want = [_greedy_count(lefts, rights, x - big_r, x + big_r, r)
                 for _, _, x, big_r, r in wins]
         got = batched_counts(lefts, rights, [(x - big_r, x + big_r, r)
@@ -223,7 +223,7 @@ def test_enumerate_windows_admissibility():
     f = make_dimension_function("constant", 0.5)
     d = depth_function(f, p, 18, clip=True)
     policy = WindowPolicy(n_values=(3, 4), k_min=1, k_max=2)
-    wins = enumerate_windows(s, f, p, d, policy)
+    wins = enumerate_windows(s, d, policy)
     floor = s.truncation_floor()
     for n, k, x, big_r, r in wins:
         assert r < big_r
@@ -246,6 +246,23 @@ def test_estimate_dimension_cantor_control():
     for direction in ("upper", "lower"):
         est = estimate_dimension(s, direction, f, p, d, policy)
         assert est.beta_hat == pytest.approx(want, abs=1e-7)
+
+
+def test_estimate_refuses_f_or_p_that_d_was_not_built_from():
+    # only d is read: a foreign profile used to set the radii, a foreign f was ignored
+    s = build_set(MID, 14, "cantor")
+    p = level_sums(MID, 20)
+    f = make_dimension_function("zero")
+    d = depth_function(f, p, 18)
+    policy = WindowPolicy(n_values=(4,), k_min=1, k_max=3)
+    quarter = level_sums(make_sequence("central", ratios=0.25), 20)
+    with pytest.raises(InvalidRangeError, match="d was built from"):
+        estimate_dimension(s, "upper", f, quarter, d, policy)
+    with pytest.raises(InvalidRangeError, match="d was built from"):
+        estimate_dimension(s, "upper", make_dimension_function("constant", 0.5), p, d, policy)
+    # an equal Phi built separately is the same Phi
+    est = estimate_dimension(s, "upper", make_dimension_function("zero"), p, d, policy)
+    assert est.beta_hat == pytest.approx(math.log(2.0) / math.log(3.0), abs=1e-7)
 
 
 def test_lower_at_most_upper():
@@ -292,5 +309,5 @@ def test_no_admissible_window_when_too_deep():
     d = depth_function(f, p, 28)
     # level 7 ladder at depth 8 dives straight below the truncation floor
     with pytest.raises(NoAdmissibleWindowError):
-        enumerate_windows(s, f, p, d, WindowPolicy(n_values=(7,), k_min=3, k_max=5))
+        enumerate_windows(s, d, WindowPolicy(n_values=(7,), k_min=3, k_max=5))
 

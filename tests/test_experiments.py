@@ -42,6 +42,8 @@ from gapdims.experiments import (
 from gapdims.rng import derive_seed
 from gapdims.sequences import level_sums
 
+from helpers import report_json
+
 MID = make_sequence("middle-third")
 
 
@@ -197,16 +199,16 @@ def test_dichotomy_pure_function_of_seed():
     f = make_dimension_function("constant", 0.5)
     r1 = run_dichotomy_experiment(MID, f, 14, 4, 77, small_policies())
     r2 = run_dichotomy_experiment(MID, f, 14, 4, 77, small_policies())
-    assert r1.to_json() == r2.to_json()
+    assert report_json(r1) == report_json(r2)
     r3 = run_dichotomy_experiment(MID, f, 14, 4, 78, small_policies())
-    assert r1.to_json() != r3.to_json()
+    assert report_json(r1) != report_json(r3)
 
 
 def test_dichotomy_parallel_is_byte_identical():
     f = make_dimension_function("constant", 0.5)
     serial = run_dichotomy_experiment(MID, f, 14, 4, 77, small_policies())
     threaded = run_dichotomy_experiment(MID, f, 14, 4, 77, small_policies(), workers=3)
-    assert serial.to_json() == threaded.to_json()
+    assert report_json(serial) == report_json(threaded)
 
 
 def test_dichotomy_per_trial_sandwich():
@@ -457,6 +459,21 @@ MALFORMED = {
     "dimension function without family": (drop(*DICH, "dimension_function", "family"),
                                           "missing key.*'family'"),
     "unknown sequence key": (put("sequence", "ratio", value=0.3), "sequence: 'ratio'"),
+    "periodic sequence without ratios": (
+        put("sequence", value={"kind": "central", "schedule": "periodic", "ratios": []}),
+        "periodic schedule takes at least 1 ratio"),
+    "blocks sequence of one ratio": (
+        put("sequence", value={"kind": "central", "schedule": "blocks", "ratios": [0.3]}),
+        "blocks schedule takes exactly 2 ratio"),
+    "sequence ratio null": (put("sequence", value={"kind": "central", "ratios": [None]}),
+                            "ratio must be a number"),
+    "sequence ratio a string": (put("sequence", value={"kind": "central", "ratios": "0.3"}),
+                                "ratio must be a number"),
+    "dimension-function param a string": (put(*DICH, "dimension_function", "param",
+                                              value="0.5"),
+                                          "constant parameter must be a number"),
+    "dimension-function param a bool": (put(*DICH, "dimension_function", "param", value=True),
+                                        "constant parameter must be a number"),
     "sequence without kind": (put("sequence", value={}), "missing key.*'kind'"),
     "unknown top-level key": (put("trails", value=2), "manifest: 'trails'"),
     "missing top-level key": (drop("master_seed"), "missing key.*'master_seed'"),

@@ -58,10 +58,10 @@ def test_formula_monotone_in_phi(c1, c2):
     p = level_sums(a, 128)
     d1 = depth_function(make_dimension_function("constant", c1), p, 80, clip=True)
     d2 = depth_function(make_dimension_function("constant", c2), p, 80, clip=True)
-    assert upper_phi_dim_formula(p, d1, 128).beta_limit >= \
-        upper_phi_dim_formula(p, d2, 128).beta_limit - 1e-12
-    assert lower_phi_dim_formula(p, d1, 128).beta_limit <= \
-        lower_phi_dim_formula(p, d2, 128).beta_limit + 1e-12
+    assert upper_phi_dim_formula(d1, 128).beta_limit >= \
+        upper_phi_dim_formula(d2, 128).beta_limit - 1e-12
+    assert lower_phi_dim_formula(d1, 128).beta_limit <= \
+        lower_phi_dim_formula(d2, 128).beta_limit + 1e-12
 
 
 @given(st.data())
