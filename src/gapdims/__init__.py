@@ -24,19 +24,16 @@ from .errors import (
     NotNormalizedError,
     OutOfDomainError,
     OutOfRegimeError,
-    TruncationViolationError,
 )
 from .covering import (
     CoverQuery,
     DimensionEstimate,
     WindowPolicy,
-    cover_count,
     enumerate_windows,
     estimate_dimension,
 )
 from .experiments import (
     ExperimentReport,
-    TailCheck,
     binomial_tail_check,
     empty_bin_probability,
     interval_length_lemma_check,
@@ -66,12 +63,10 @@ __all__ = [
     "CoverQuery",
     "DimensionEstimate",
     "ExperimentReport",
-    "TailCheck",
     "WindowPolicy",
     "binomial_tail_check",
     "box_dim_estimate",
     "build_set",
-    "cover_count",
     "depth_function",
     "derive_seed",
     "empty_bin_probability",

@@ -139,14 +139,13 @@ def cmd_sample(args) -> int:
     _require(args, "seq", "w")
     a = parse_sequence(args.seq)
     s = build_set(a, args.w, args.arrangement, seed=args.seed)
-    table = s.export_table()
     write_csv(out_path("gaps", "csv", args), ["index", "left", "length"],
-              zip(table["index"], table["left"], table["length"]))
+              zip(s.order.tolist(), s.gap_left.tolist(), s.gap_len.tolist()))
     write_json(out_path("", "json", args), {
         "config": {"seq": args.seq, "w": args.w, "arrangement": args.arrangement,
                    "seed": args.seed, "sequence": a.to_config()},
         "n_gaps": s.n_gaps,
-        "total_gap_mass": math.fsum(table["length"]),
+        "total_gap_mass": math.fsum(s.gap_len),
         "tail_mass": a.tail_mass(args.w),
         "truncation_floor": s.truncation_floor(),
     })
@@ -210,20 +209,20 @@ def cmd_tailcheck(args) -> int:
         grid = [tuple(int(v) for v in pair.split(":")) for pair in args.grid.split(",")]
     rows = experiments.binomial_tail_check(grid, args.eta)
     ok = all(
-        row.exact_two_sided_tail <= row.dml_bound
-        and (not row.corollary_in_hypothesis
-             or max(row.exact_upper_tail, row.exact_lower_tail) <= row.corollary_bound)
-        for row in rows if row.in_hypothesis)
+        row["exact_two_sided_tail"] <= row["dml_bound"]
+        and (not row["corollary_in_hypothesis"]
+             or max(row["exact_upper_tail"], row["exact_lower_tail"]) <= row["corollary_bound"])
+        for row in rows if row["in_hypothesis"])
     write_json(out_path("", "json", args), {
         "config": {"grid": [list(g) for g in grid], "eta": args.eta},
-        "rows": [r.to_record() for r in rows],
+        "rows": rows,
         "pass": ok,
     })
     for r in rows:
-        status = "SKIP" if not r.in_hypothesis else (
-            "PASS" if r.exact_two_sided_tail <= r.dml_bound else "FAIL")
-        print(f"[{status}] M={r.m} N={r.n} Mp={r.mp:g}"
-              + (f" ({r.skip_reason})" if r.skip_reason else ""))
+        status = "SKIP" if not r["in_hypothesis"] else (
+            "PASS" if r["exact_two_sided_tail"] <= r["dml_bound"] else "FAIL")
+        print(f"[{status}] M={r['M']} N={r['N']} Mp={r['Mp']:g}"
+              + (f" ({r['skip_reason']})" if r["skip_reason"] else ""))
     return 0 if ok else 1
 
 

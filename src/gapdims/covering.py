@@ -11,7 +11,7 @@ Counting is exact: in one dimension the greedy sweep (always start the
 next ball at the leftmost uncovered point) is optimal.  One vectorized
 kernel runs that sweep over all windows of an estimate in lockstep, with
 the serial loop's float arithmetic, so counts match it bit for bit.
-Radii below the approximation's truncation floor are refused, since at
+Radii below the approximation's truncation floor are skipped, since at
 those scales the depth-W set no longer resolves the true one.  Window
 centers sit at endpoints of the construction intervals: these are points
 of the set, and the extrema over them capture the extrema over the whole
@@ -29,7 +29,7 @@ import numpy as np
 from . import rng
 from .dimfuncs import DepthTable, DimensionFunction
 from .errors import (GapdimsError, InvalidRangeError, NoAdmissibleWindowError,
-                     TruncationViolationError, check_keys, check_value)
+                     check_keys, check_value)
 from .randmodel import ApproxSet
 from .sequences import LevelProfile
 
@@ -69,23 +69,6 @@ def _cover_counts(lefts, rights, lo, hi, r) -> np.ndarray:
             pos, lo, hi, width, idx, end, covered, balls = (
                 v[live] for v in (pos, lo, hi, width, idx, end, covered, balls))
     return counts
-
-
-def cover_count(s: ApproxSet, x: float, big_r: float, r: float) -> int:
-    """Exact N_r(B(x, R) intersected with the depth-W set).
-
-    Refuses radii below the truncation floor: counts there belong to the
-    truncation, not the set.
-    """
-    if r <= 0 or big_r <= 0:
-        raise InvalidRangeError("radii must be positive")
-    if not (-1.0 <= x - big_r and x + big_r <= 2.0):
-        raise InvalidRangeError("window must stay within [-1, 2]")
-    if r < s.truncation_floor():
-        raise TruncationViolationError(
-            f"radius {r:.3g} below truncation floor {s.truncation_floor():.3g}")
-    lefts, rights = s.solid_segments()
-    return int(_cover_counts(lefts, rights, [x - big_r], [x + big_r], [r])[0])
 
 
 @dataclass(frozen=True)

@@ -103,8 +103,11 @@ def make_dimension_function(family: str, param=None, grid=None) -> DimensionFunc
         if param is None or not (0.0 < param < 1.0):
             raise OutOfDomainError("power-log exponent must lie in (0, 1)")
     if family == "tabulated":
-        if not grid or len(grid) < 2:
-            raise OutOfDomainError("tabulated grid needs >= 2 points")
+        if not isinstance(grid, (list, tuple)) or len(grid) < 2 or any(
+                not isinstance(pt, (list, tuple)) or len(pt) != 2 for pt in grid):
+            raise OutOfDomainError("tabulated grid needs a list of >= 2 [x, value] pairs")
+        for value in (v for pt in grid for v in pt):
+            check_value(value, "tabulated grid entry", kind=Real)
         grid = tuple(sorted((float(x), float(v)) for x, v in grid))
         if any(not (0.0 < x < 1.0) or v < 0.0 for x, v in grid):
             raise OutOfDomainError("tabulated grid needs x in (0,1), values >= 0")

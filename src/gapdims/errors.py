@@ -36,10 +36,6 @@ class DepthUnsupportedError(GapdimsError):
     """Requested truncation depth W is outside the supported range."""
 
 
-class TruncationViolationError(GapdimsError):
-    """A covering query asked for a scale below the truncation floor."""
-
-
 class InvalidRangeError(GapdimsError):
     """A level range argument is out of bounds."""
 

@@ -356,27 +356,6 @@ def interval_length_lemma_check(
 # binomial tail bounds
 
 
-@dataclass(frozen=True)
-class TailCheck:
-    m: int
-    n: int
-    eta: float
-    mp: float
-    exact_two_sided_tail: float
-    exact_upper_tail: float
-    exact_lower_tail: float
-    dml_bound: float
-    corollary_bound: float
-    in_hypothesis: bool
-    corollary_in_hypothesis: bool = False   # needs Mp >= 200 as well
-    skip_reason: str | None = None
-
-    def to_record(self) -> dict:
-        rec = asdict(self)
-        rec.update(M=rec.pop("m"), N=rec.pop("n"), Mp=rec.pop("mp"))
-        return rec
-
-
 def _log_binom_pmf(m: int, p: float, ks: np.ndarray) -> np.ndarray:
     return (gammaln(m + 1) - gammaln(ks + 1) - gammaln(m - ks + 1)
             + ks * math.log(p) + (m - ks) * math.log1p(-p))
@@ -397,12 +376,14 @@ def binomial_tail_mass(m: int, p: float, lo: int | None, hi: int | None) -> floa
 ADOPTED_C = 1.0 / 432.0   # eta^2/3 at eta = 1/12
 
 
-def binomial_tail_check(grid: list[tuple[int, int]], eta: float) -> list[TailCheck]:
+def binomial_tail_check(grid: list[tuple[int, int]], eta: float) -> list[dict]:
     """Exact binomial tails against the normal-approximation and simple
-    exponential bounds, row per (M, N) with p = 2^-N.
+    exponential bounds, one record per (M, N) with p = 2^-N.
 
     Two-sided: P(|Y - Mp| >= eta*Mp) <= exp(-eta^2 Mp / 3) / (eta sqrt(Mp)).
-    One-sided at eta = 1/12: each tail <= exp(-Mp/432).
+    One-sided at eta = 1/12: each tail <= exp(-Mp/432), checked only
+    where ``corollary_in_hypothesis`` (Mp >= 200).  A row whose
+    precondition fails holds NaN values and its ``skip_reason``.
     """
     if not 0.0 < eta <= 1.0 / 12.0:
         raise InvalidRangeError("eta must be in (0, 1/12]")
@@ -410,30 +391,30 @@ def binomial_tail_check(grid: list[tuple[int, int]], eta: float) -> list[TailChe
     for m, n in grid:
         p = 2.0 ** (-n)
         mp = m * p
+        row = {"M": m, "N": n, "eta": eta, "Mp": mp}
         precondition = eta * p * (1.0 - p) * m
         if precondition < 12.0:
-            out.append(TailCheck(m=m, n=n, eta=eta, mp=mp,
-                                 exact_two_sided_tail=math.nan,
-                                 exact_upper_tail=math.nan, exact_lower_tail=math.nan,
-                                 dml_bound=math.nan, corollary_bound=math.nan,
-                                 in_hypothesis=False,
-                                 skip_reason=f"eta*p*(1-p)*M = {precondition:.3g} < 12"))
+            out.append({**row, **dict.fromkeys(
+                ("exact_two_sided_tail", "exact_upper_tail", "exact_lower_tail",
+                 "dml_bound", "corollary_bound"), math.nan),
+                "in_hypothesis": False, "corollary_in_hypothesis": False,
+                "skip_reason": f"eta*p*(1-p)*M = {precondition:.3g} < 12"})
             continue
         dev = eta * mp
         hi = math.ceil(mp + dev - 1e-9)
         lo = math.floor(mp - dev + 1e-9)
-        two_sided = binomial_tail_mass(m, p, lo, hi)
         upper = binomial_tail_mass(m, p, None, math.ceil(13.0 / 12.0 * mp - 1e-9))
         lower = binomial_tail_mass(m, p, math.floor(11.0 / 12.0 * mp + 1e-9), None)
-        out.append(TailCheck(
-            m=m, n=n, eta=eta, mp=mp,
-            exact_two_sided_tail=two_sided,
-            exact_upper_tail=upper, exact_lower_tail=lower,
-            dml_bound=math.exp(-eta * eta * mp / 3.0) / (eta * math.sqrt(mp)),
-            corollary_bound=math.exp(-ADOPTED_C * mp),
-            in_hypothesis=True,
-            corollary_in_hypothesis=mp >= 200.0,
-        ))
+        out.append({
+            **row,
+            "exact_two_sided_tail": binomial_tail_mass(m, p, lo, hi),
+            "exact_upper_tail": upper, "exact_lower_tail": lower,
+            "dml_bound": math.exp(-eta * eta * mp / 3.0) / (eta * math.sqrt(mp)),
+            "corollary_bound": math.exp(-ADOPTED_C * mp),
+            "in_hypothesis": True,
+            "corollary_in_hypothesis": mp >= 200.0,
+            "skip_reason": None,
+        })
     return out
 
 

@@ -95,14 +95,6 @@ class ApproxSet:
         lefts, rights = self.solid_segments()
         return 2.0 * float(np.max(rights - lefts))
 
-    def export_table(self) -> dict:
-        """Plain-array dump of the arrangement (for CSV/JSON output)."""
-        return {
-            "index": self.order.tolist(),
-            "left": self.gap_left.tolist(),
-            "length": self.gap_len.tolist(),
-        }
-
 
 def _assemble(sequence: GapSequence, w: int, order: np.ndarray,
               slot_mass: np.ndarray) -> ApproxSet:

@@ -21,19 +21,6 @@ _MIX2 = 0x94D049BB133111EB
 _MASK = 0xFFFFFFFFFFFFFFFF
 
 
-def mix64(z: int) -> int:
-    """splitmix64 finalizer on a Python integer (mod 2^64)."""
-    z &= _MASK
-    z = ((z ^ (z >> 30)) * _MIX1) & _MASK
-    z = ((z ^ (z >> 27)) * _MIX2) & _MASK
-    return z ^ (z >> 31)
-
-
-def derive_seed(master_seed: int, stream_id: int) -> int:
-    """Derive an independent child seed, e.g. one per Monte Carlo trial."""
-    return mix64((master_seed & _MASK) + ((stream_id + 1) * _GOLDEN & _MASK))
-
-
 def _mixed_words(seed: int, counters: np.ndarray) -> np.ndarray:
     z = (np.uint64(seed & _MASK) + counters * np.uint64(_GOLDEN)).astype(np.uint64)
     with np.errstate(over="ignore"):
@@ -43,6 +30,11 @@ def _mixed_words(seed: int, counters: np.ndarray) -> np.ndarray:
         z *= np.uint64(_MIX2)
         z ^= z >> np.uint64(31)
     return z
+
+
+def derive_seed(master_seed: int, stream_id: int) -> int:
+    """Derive an independent child seed, e.g. one per Monte Carlo trial."""
+    return int(_mixed_words(master_seed, np.array([(stream_id + 1) & _MASK], dtype=np.uint64))[0])
 
 
 def uniforms(seed: int, start: int, stop: int) -> np.ndarray:

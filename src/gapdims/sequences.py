@@ -33,6 +33,7 @@ import numpy as np
 
 from .errors import (
     InsufficientDepthError,
+    InvalidRangeError,
     InvalidRatioError,
     NotDecreasingError,
     NotNormalizedError,
@@ -81,17 +82,12 @@ class GapSequence:
 
     # -- level tables (rule-based closed forms) ---------------------------
 
-    def ratio_schedule(self, n_levels: int) -> np.ndarray:
-        if not self.rule_based:
-            raise InsufficientDepthError("explicit sequences have no ratio schedule")
-        return _ratio_table(self.schedule, self.ratios, n_levels)
-
     def log_level_sums(self, n_max: int) -> np.ndarray:
         """ln s_0 .. ln s_{n_max}."""
         if self.rule_based:
             if n_max > MAX_RULE_LEVEL:
                 raise InsufficientDepthError(f"n_max={n_max} exceeds {MAX_RULE_LEVEL}")
-            r = self.ratio_schedule(n_max)
+            r = _ratio_table(self.schedule, self.ratios, n_max)
             return np.concatenate([[0.0], np.cumsum(np.log(r))])
         return np.log(self._explicit_level_sums(n_max))
 
@@ -108,7 +104,7 @@ class GapSequence:
 
     def level_gap_lengths(self, n_max: int) -> np.ndarray:
         """Common gap length of each level 1..n_max (rule-based only)."""
-        r = self.ratio_schedule(n_max)
+        r = _ratio_table(self.schedule, self.ratios, n_max)
         s_prev = np.exp(np.concatenate([[0.0], np.cumsum(np.log(r[:-1]))]))
         return (1.0 - 2.0 * r) * s_prev
 
@@ -184,7 +180,11 @@ def make_sequence(
         return GapSequence(kind="central", schedule=schedule, ratios=ratios)
 
     if kind == "explicit":
-        arr = np.asarray(gaps, dtype=np.float64)
+        arr = np.asarray(gaps)
+        # one vectorised check: strings, bools and nulls give a non-numeric dtype
+        if arr.dtype.kind not in "iuf" or not np.isfinite(arr).all():
+            raise InvalidRangeError("explicit gaps must be a list of finite numbers")
+        arr = arr.astype(np.float64, copy=False)
         if arr.ndim != 1 or arr.size == 0 or arr.size > MAX_EXPLICIT:
             raise NotDecreasingError("explicit list must be 1-D, non-empty, <= 2^24 long")
         if np.any(arr <= 0) or np.any(np.diff(arr) > 0):

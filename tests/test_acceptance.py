@@ -199,11 +199,11 @@ def test_criterion_10_binomial_tail_bounds():
     grid = [(mp * 2 ** 8, 8) for mp in (256, 512, 1024)]
     rows = binomial_tail_check(grid, 1.0 / 12.0)
     for row in rows:
-        assert row.in_hypothesis
-        assert row.exact_two_sided_tail <= row.dml_bound
-        assert row.corollary_in_hypothesis
-        assert row.exact_upper_tail <= row.corollary_bound
-        assert row.exact_lower_tail <= row.corollary_bound
+        assert row["in_hypothesis"]
+        assert row["exact_two_sided_tail"] <= row["dml_bound"]
+        assert row["corollary_in_hypothesis"]
+        assert row["exact_upper_tail"] <= row["corollary_bound"]
+        assert row["exact_lower_tail"] <= row["corollary_bound"]
     assert time.perf_counter() - t0 < 10.0
     print("PASS criterion 10: exact tails <= normal-approximation bound and "
           "<= exp(-Mp/432) on the Mp in {256,512,1024} grid, < 10 s")

@@ -9,10 +9,8 @@ from gapdims import (
     GapdimsError,
     InvalidRangeError,
     NoAdmissibleWindowError,
-    TruncationViolationError,
     WindowPolicy,
     build_set,
-    cover_count,
     depth_function,
     enumerate_windows,
     estimate_dimension,
@@ -191,30 +189,17 @@ def test_cover_count_cantor_powers():
     # classic: N_{s_{n+j}}(B(0, s_n) cap C) = 2^j for the ternary set
     s = build_set(MID, 14, "cantor")
     p = level_sums(MID, 16)
+    lefts, rights = s.solid_segments()
     shrink = 1.0 - 1e-9
     for n in (2, 4):
         for j in (1, 2, 3):
-            got = cover_count(s, 0.0, shrink * p.s[n], p.s[n + j])
+            big_r = shrink * p.s[n]
+            got = batched_counts(lefts, rights, [(-big_r, big_r, p.s[n + j])])[0]
             assert got == 2 ** j, (n, j, got)
-
-
-def test_cover_count_refuses_subfloor_radius():
-    s = build_set(MID, 8, "random", seed=1)
-    with pytest.raises(TruncationViolationError):
-        cover_count(s, 0.5, 0.1, 0.25 * s.truncation_floor())
-    with pytest.raises(InvalidRangeError):
-        cover_count(s, 0.5, -0.1, 0.01)
-
-
-def test_cover_count_window_bounds():
-    s = build_set(MID, 8, "random", seed=1)
-    # the right edge 0.5 + 4.5 leaves [-1, 2] although the left edge does not
-    with pytest.raises(InvalidRangeError):
-        cover_count(s, 0.5, 4.5, 0.1)
-    with pytest.raises(InvalidRangeError):
-        cover_count(s, 0.5, 1.6, 0.1)
-    lefts, rights = s.solid_segments()
-    assert cover_count(s, 0.5, 1.5, 0.1) == _greedy_count(lefts, rights, -1.0, 2.0, 0.1) == 5
+    # a window reaching past [0, 1] on both sides counts the whole random set
+    lefts, rights = build_set(MID, 8, "random", seed=1).solid_segments()
+    assert batched_counts(lefts, rights, [(-1.0, 2.0, 0.1)]) == \
+        [_greedy_count(lefts, rights, -1.0, 2.0, 0.1)] == [5]
 
 
 def test_enumerate_windows_admissibility():

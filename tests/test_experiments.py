@@ -172,18 +172,18 @@ def test_tail_check_example_values():
     rows = binomial_tail_check([(2 ** 13, 5), (2 ** 15, 5)], 1.0 / 12.0)
     r0, r1 = rows
     # Mp = 256: bound = exp(-256/432) / ((1/12) * 16) = 0.75 exp(-0.59259..)
-    assert r0.dml_bound == pytest.approx(0.75 * math.exp(-256.0 / 432.0), rel=1e-12)
-    assert r0.exact_two_sided_tail <= r0.dml_bound
+    assert r0["dml_bound"] == pytest.approx(0.75 * math.exp(-256.0 / 432.0), rel=1e-12)
+    assert r0["exact_two_sided_tail"] <= r0["dml_bound"]
     # Mp = 1024: corollary bound exp(-1024/432) ~ 0.0935
-    assert r1.corollary_bound == pytest.approx(math.exp(-1024.0 / 432.0), rel=1e-12)
-    assert r1.corollary_in_hypothesis
-    assert max(r1.exact_upper_tail, r1.exact_lower_tail) <= r1.corollary_bound
+    assert r1["corollary_bound"] == pytest.approx(math.exp(-1024.0 / 432.0), rel=1e-12)
+    assert r1["corollary_in_hypothesis"]
+    assert max(r1["exact_upper_tail"], r1["exact_lower_tail"]) <= r1["corollary_bound"]
 
 
 def test_tail_check_skips_out_of_hypothesis_rows():
     rows = binomial_tail_check([(10, 4)], 1.0 / 12.0)
-    assert not rows[0].in_hypothesis
-    assert rows[0].skip_reason
+    assert not rows[0]["in_hypothesis"]
+    assert rows[0]["skip_reason"]
     with pytest.raises(Exception):
         binomial_tail_check([(100, 2)], 0.5)  # eta too large
 
@@ -398,8 +398,23 @@ def rename(*path, to):
     return edit
 
 
+def tabulated(grid):
+    return put(*DICH, "dimension_function", value={"family": "tabulated", "grid": grid})
+
+
+def explicit(gaps):
+    # alone, the empty_bin entry would run on any sequence, so a gap list
+    # that slipped through would run a trial
+    def edit(m):
+        m["sequence"] = {"kind": "explicit", "gaps": gaps}
+        m["experiments"] = [m["experiments"][2]]
+        return m
+    return edit
+
+
 DICH = ("experiments", 0)
 RULES = DICH + ("thresholds",)
+EXPLICIT_GAPS = "explicit gaps must be a list of finite numbers"
 MALFORMED = {
     # case: (edit of small_manifest(), error message pattern)
     "no experiments": (put("experiments", value=[]), "non-empty list"),
@@ -475,6 +490,19 @@ MALFORMED = {
     "dimension-function param a bool": (put(*DICH, "dimension_function", "param", value=True),
                                         "constant parameter must be a number"),
     "sequence without kind": (put("sequence", value={}), "missing key.*'kind'"),
+    "tabulated grid point null": (tabulated([[None, 1.0], [0.01, 0.5]]),
+                                  "tabulated grid entry must be a number"),
+    "tabulated grid a number": (tabulated(5), r"needs a list of >= 2 \[x, value\] pairs"),
+    "tabulated grid points of one": (tabulated([[0.1], [0.2]]),
+                                     r"needs a list of >= 2 \[x, value\] pairs"),
+    "tabulated grid of strings": (tabulated([["0.1", 0.5], ["0.01", 0.5]]),
+                                  "tabulated grid entry must be a number"),
+    "tabulated grid value NaN": (tabulated([[0.1, math.nan], [0.01, 0.5]]),
+                                 "tabulated grid entry must be a number"),
+    "explicit gaps as strings": (explicit(["0.5", "0.25", "0.25"]), EXPLICIT_GAPS),
+    "explicit gaps a string": (explicit("ab"), EXPLICIT_GAPS),
+    "explicit gap null": (explicit([0.5, None, 0.25]), EXPLICIT_GAPS),
+    "explicit gap a bool": (explicit([True]), EXPLICIT_GAPS),
     "unknown top-level key": (put("trails", value=2), "manifest: 'trails'"),
     "missing top-level key": (drop("master_seed"), "missing key.*'master_seed'"),
     "dichotomy without the manifest's w": (drop("w"), "needs the manifest's 'w'"),

@@ -5,8 +5,7 @@ import gapdims
 PUBLIC = [
     "ApproxSet", "CoverQuery", "DepthTable", "DimensionEstimate", "DimensionFunction",
     "ExperimentReport", "FormulaEstimate", "GapSequence", "GapdimsError", "LevelProfile",
-    "TailCheck", "WindowPolicy",
-    "binomial_tail_check", "box_dim_estimate", "build_set", "cover_count", "depth_function",
+    "WindowPolicy", "binomial_tail_check", "box_dim_estimate", "build_set", "depth_function",
     "derive_seed", "empty_bin_probability", "enumerate_windows", "estimate_dimension",
     "interval_length_lemma_check", "level_sums", "lower_phi_dim_formula",
     "make_dimension_function", "make_sequence", "max_load_statistic",

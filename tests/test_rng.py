@@ -4,14 +4,33 @@ import numpy as np
 
 from gapdims import rng
 
+MASK = 0xFFFFFFFFFFFFFFFF
+GOLDEN = 0x9E3779B97F4A7C15
+
 # published splitmix64 outputs for seed 0
 SPLITMIX64_SEED0 = (0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F)
 
 
-def test_mix64_known_answer():
-    golden = 0x9E3779B97F4A7C15
-    for i, want in enumerate(SPLITMIX64_SEED0, start=1):
-        assert rng.mix64((i * golden) & 0xFFFFFFFFFFFFFFFF) == want
+def splitmix64(seed: int, counter: int) -> int:
+    """Reference splitmix64 word on Python integers (mod 2^64)."""
+    z = (seed + counter * GOLDEN) & MASK
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK
+    return z ^ (z >> 31)
+
+
+def test_mixed_words_known_answer():
+    words = rng._mixed_words(0, np.array([1, 2, 3], dtype=np.uint64))
+    assert words.tolist() == list(SPLITMIX64_SEED0)
+    assert [splitmix64(0, i) for i in (1, 2, 3)] == list(SPLITMIX64_SEED0)
+
+
+def test_derive_seed_matches_reference():
+    seeds = (0, 1, 99, -1, -2 ** 63, 2 ** 63, MASK, 2 ** 64, 2 ** 64 + 5, 3 ** 50, -(3 ** 50))
+    streams = (0, 1, 7, 2 ** 32, 2 ** 63 - 1, 2 ** 64 - 1, 2 ** 64, 5 ** 30)
+    for m in seeds:
+        for t in streams:
+            assert rng.derive_seed(m, t) == splitmix64(m, t + 1), (m, t)
 
 
 def test_uniforms_match_reference_words():

@@ -14,6 +14,7 @@ from gapdims import (
     level_sums,
     make_sequence,
 )
+from gapdims.sequences import _ratio_table
 
 
 def cantor_gaps(ratios, n_levels):
@@ -57,7 +58,7 @@ def test_periodic_schedule_level_sums():
 
 def test_blocks_schedule_ratio_runs_are_dyadic():
     a = make_sequence("central", ratios=[0.2, 0.45], schedule="blocks")
-    r = a.ratio_schedule(16)
+    r = _ratio_table(a.schedule, a.ratios, 16)
     # level n uses ratios[floor(log2 n) mod 2]: levels 1 | 2-3 | 4-7 | 8-15 | 16..
     want = [0.2, 0.45, 0.45, 0.2, 0.2, 0.2, 0.2] + [0.45] * 8 + [0.2]
     assert np.array_equal(r, want)
