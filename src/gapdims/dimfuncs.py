@@ -94,6 +94,10 @@ def make_dimension_function(family: str, param=None, grid=None) -> DimensionFunc
     """Validating factory; checks positivity and the monotone-scaling law."""
     if family not in _FAMILIES:
         raise OutOfDomainError(f"unknown family {family!r}")
+    if param is not None and family in ("zero", "psi", "tabulated"):
+        raise OutOfDomainError(f"{family} takes no parameter, got {param!r}")
+    if grid is not None and family != "tabulated":
+        raise OutOfDomainError(f"{family} takes no grid; only tabulated does")
     if param is not None:
         check_value(param, f"{family} parameter", kind=Real)
     if family in ("constant", "inverse-log", "scaled-psi"):

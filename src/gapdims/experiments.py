@@ -1,9 +1,9 @@
 """Seeded statistical experiments on random arrangements.
 
 Every experiment is a pure function of its configuration and a master
-seed: trial t uses ``rng.derive_seed(master_seed, t)``, trial records are
-plain dicts in trial order and reports sort their keys, so re-runs with
-any worker count are byte-identical.  `run_manifest` checks a whole
+seed: trial t uses the seed ``derive_seed(master_seed, t)``, trial records
+are plain dicts in trial order and reports sort their keys, so re-runs
+with any worker count are byte-identical.  `run_manifest` checks a whole
 manifest of them, then runs each one and evaluates its binding checks.
 """
 
@@ -15,7 +15,6 @@ from dataclasses import asdict, dataclass, field
 from numbers import Real
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
 
 from . import randmodel, rng
 from .cantor import box_dim_estimate, lower_phi_dim_formula, upper_phi_dim_formula
@@ -41,6 +40,20 @@ def _check_trials(trials, master_seed) -> None:
     check_value(master_seed, "master_seed")
 
 
+def _report(kind: str, config: dict, master_seed: int, **result) -> dict:
+    """A report record: the header every kind shares, then its results."""
+    return {"schema_version": SCHEMA_VERSION, "kind": kind, "config": config,
+            "master_seed": master_seed, **result}
+
+
+def _trial_records(trial, trials: int, master_seed: int) -> list[dict]:
+    """Trial t's record, in trial order: its id, its seed s (derived from the
+    master seed) and the fields ``trial(s)`` returns."""
+    _check_trials(trials, master_seed)
+    seeds = (rng.derive_seed(master_seed, t) for t in range(trials))
+    return [{"trial_id": t, "seed": s, **trial(s)} for t, s in enumerate(seeds)]
+
+
 # ---------------------------------------------------------------------------
 # dichotomy experiment
 
@@ -57,30 +70,24 @@ class DepthSummary:
     depth: int
     median_up: float
     median_low: float
-    quartiles_up: tuple[float, float]
-    quartiles_low: tuple[float, float]
+    quartiles_up: list[float]    # [q1, q3]
+    quartiles_low: list[float]
     cantor_up: float
     cantor_low: float
     sandwich_violations: int     # trials with beta_low > box or beta_up < box (0.05 slack)
-    trials: tuple[dict, ...] = field(repr=False)   # trial_id, seed, beta_up, beta_low
-
-    def to_record(self) -> dict:
-        return {**asdict(self), "quartiles_up": list(self.quartiles_up),
-                "quartiles_low": list(self.quartiles_low), "trials": list(self.trials)}
+    trials: list[dict] = field(repr=False)   # trial_id, seed, beta_up, beta_low
 
 
 @dataclass(frozen=True)
 class ExperimentReport:
-    kind: str
     config: dict
     master_seed: int
     summaries: tuple[DepthSummary, ...]
     targets: dict
 
     def to_record(self) -> dict:
-        return {"schema_version": SCHEMA_VERSION, "kind": self.kind, "config": self.config,
-                "master_seed": self.master_seed, "targets": self.targets,
-                "depths": [s.to_record() for s in self.summaries]}
+        return _report("dichotomy", self.config, self.master_seed, targets=self.targets,
+                       depths=[asdict(s) for s in self.summaries])
 
 
 def _comparable_profile(a: GapSequence, levels: int, claim: str) -> LevelProfile:
@@ -160,12 +167,12 @@ def run_dichotomy_experiment(
         summaries.append(DepthSummary(
             depth=depth,
             median_up=float(np.median(ups)), median_low=float(np.median(los)),
-            quartiles_up=(float(np.quantile(ups, 0.25)), float(np.quantile(ups, 0.75))),
-            quartiles_low=(float(np.quantile(los, 0.25)), float(np.quantile(los, 0.75))),
+            quartiles_up=[float(np.quantile(ups, 0.25)), float(np.quantile(ups, 0.75))],
+            quartiles_low=[float(np.quantile(los, 0.25)), float(np.quantile(los, 0.75))],
             cantor_up=c_up, cantor_low=c_lo,
             sandwich_violations=bad,
-            trials=tuple({"trial_id": t, "seed": seed, "beta_up": up, "beta_low": lo}
-                         for t, (seed, (up, lo)) in enumerate(zip(seeds, rows))),
+            trials=[{"trial_id": t, "seed": seed, "beta_up": up, "beta_low": lo}
+                    for t, (seed, (up, lo)) in enumerate(zip(seeds, rows))],
         ))
 
     n_formula = min(p.n_max, 2 * N_LEVELS // 3)
@@ -181,7 +188,7 @@ def run_dichotomy_experiment(
         "policies": {str(depth): [up.to_config(), lo.to_config()]
                      for depth, (up, lo) in policies.items()},
     }
-    return ExperimentReport(kind="dichotomy", config=config, master_seed=master_seed,
+    return ExperimentReport(config=config, master_seed=master_seed,
                             summaries=tuple(summaries), targets=targets)
 
 
@@ -235,35 +242,26 @@ def max_load_statistic(
     ``empty_bin`` when W reaches the depth n + phi_n + floor(A ln n).
     """
     _check_max_load(w, n, phi_n)
-    _check_trials(trials, master_seed)
     k_n = critical_load(n, phi_n)
     ext = phi_n + math.floor(LOAD_CUTOFF_A * math.log(n))
-    rows = []
     bounds = (2 ** n, 2 ** (n + phi_n)) + ((2 ** (n + ext),) if w >= n + ext else ())
-    for t in range(trials):
-        seed = rng.derive_seed(master_seed, t)
+
+    def trial(seed):
         counts = randmodel.slot_counts(seed, w, n, bounds)
-        rows.append({"trial_id": t, "seed": seed, "M_n": int(counts[0].max()), "K_n": k_n})
-        if len(counts) > 1:
-            rows[-1]["empty_bin"] = bool(counts[1].min() == 0)
+        extension = {"empty_bin": bool(counts[1].min() == 0)} if len(counts) > 1 else {}
+        return {"M_n": int(counts[0].max()), "K_n": k_n, **extension}
+
+    rows = _trial_records(trial, trials, master_seed)
     loads = np.array([r["M_n"] for r in rows], dtype=np.int64)
     hist_vals, hist_counts = np.unique(loads, return_counts=True)
     empties = [r["empty_bin"] for r in rows if "empty_bin" in r]
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "max_load",
-        "config": {"sequence": a.to_config(), "w": w, "n": n,
-                   "phi_n": phi_n, "trials": trials,
-                   "cutoff_A": LOAD_CUTOFF_A},
-        "master_seed": master_seed,
-        "K_n": k_n,
-        "frequency": float(np.mean(loads > k_n)),
-        "empty_bin_frequency": (sum(empties) / len(empties)) if empties else None,
-        "cantor_load": 2 ** phi_n - 1,
-        "cantor_exceeds": bool(2 ** phi_n - 1 > k_n),
-        "histogram": {int(v): int(c) for v, c in zip(hist_vals, hist_counts)},
-        "trials_detail": rows,
-    }
+    return _report("max_load", {"sequence": a.to_config(), "w": w, "n": n, "phi_n": phi_n,
+                                "trials": trials, "cutoff_A": LOAD_CUTOFF_A}, master_seed,
+                   K_n=k_n, frequency=float(np.mean(loads > k_n)),
+                   empty_bin_frequency=(sum(empties) / len(empties)) if empties else None,
+                   cantor_load=2 ** phi_n - 1, cantor_exceeds=bool(2 ** phi_n - 1 > k_n),
+                   histogram={int(v): int(c) for v, c in zip(hist_vals, hist_counts)},
+                   trials_detail=rows)
 
 
 # ---------------------------------------------------------------------------
@@ -278,23 +276,19 @@ def _check_empty_bin(n_bins_log2: int, balls: int) -> None:
 def empty_bin_probability(n_bins_log2: int, balls: int, trials: int, master_seed: int) -> dict:
     """Frequency of at least one empty bin for iid-uniform ball placement."""
     _check_empty_bin(n_bins_log2, balls)
-    _check_trials(trials, master_seed)
     bins = 2 ** n_bins_log2
-    hits = 0
-    for t in range(trials):
-        idx = rng.bin_indices(rng.derive_seed(master_seed, t), 0, balls, n_bins_log2)
-        occupied = np.bincount(idx, minlength=bins) > 0
-        hits += int(not occupied.all())
+
+    def trial(seed):
+        idx = rng.bin_indices(seed, 0, balls, n_bins_log2)
+        return {"empty": bool(np.bincount(idx, minlength=bins).min() == 0)}
+
+    rows = _trial_records(trial, trials, master_seed)
     lam = bins * math.exp(-balls / bins)
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "empty_bin",
-        "config": {"n_bins_log2": n_bins_log2, "balls": balls, "trials": trials},
-        "master_seed": master_seed,
-        "frequency": hits / trials,
-        "poisson_expected_empty": lam,
-        "poisson_predicted_frequency": 1.0 - math.exp(-lam),
-    }
+    return _report("empty_bin", {"n_bins_log2": n_bins_log2, "balls": balls, "trials": trials},
+                   master_seed,
+                   frequency=sum(r["empty"] for r in rows) / trials,
+                   poisson_expected_empty=lam,
+                   poisson_predicted_frequency=1.0 - math.exp(-lam))
 
 
 # ---------------------------------------------------------------------------
@@ -324,50 +318,45 @@ def interval_length_lemma_check(
 ) -> dict:
     """Frequency of {max level-n interval <= 3C * s_n^(1 - eps_n)}, eps_n = 4 ln n / n."""
     p = _interval_profile(a, w, n)
-    _check_trials(trials, master_seed)
     eps_n = 4.0 * math.log(n) / n
     c = length_constant(p)
     bound = 3.0 * c * p.s[n] ** (1.0 - eps_n)
-    rows = []
-    for t in range(trials):
-        seed = rng.derive_seed(master_seed, t)
+
+    def trial(seed):
         lefts, rights = randmodel.build_set(a, w, "random", seed=seed).level_intervals(n)
-        rows.append({"trial_id": t, "seed": seed, "max_len_n": float(np.max(rights - lefts)),
-                     "len_bound_n": bound, "epsilon_n": eps_n})
+        return {"max_len_n": float(np.max(rights - lefts)), "len_bound_n": bound,
+                "epsilon_n": eps_n}
+
+    rows = _trial_records(trial, trials, master_seed)
     max_lens = np.array([r["max_len_n"] for r in rows])
     cl, cr = randmodel.build_set(a, w, "cantor").level_intervals(n)
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "interval_length",
-        "config": {"sequence": a.to_config(), "w": w, "n": n, "trials": trials},
-        "master_seed": master_seed,
-        "epsilon_n": eps_n,
-        "C": c,
-        "bound": bound,
-        "frequency": float(np.mean(max_lens <= bound)),
-        "median_max_length": float(np.median(max_lens)),
-        "cantor_max_length": float(np.max(cr - cl)),
-        "cantor_within_bound": bool(np.max(cr - cl) <= bound),
-        "trials_detail": rows,
-    }
+    return _report("interval_length",
+                   {"sequence": a.to_config(), "w": w, "n": n, "trials": trials}, master_seed,
+                   epsilon_n=eps_n, C=c, bound=bound, frequency=float(np.mean(max_lens <= bound)),
+                   median_max_length=float(np.median(max_lens)),
+                   cantor_max_length=float(np.max(cr - cl)),
+                   cantor_within_bound=bool(np.max(cr - cl) <= bound), trials_detail=rows)
 
 
 # ---------------------------------------------------------------------------
 # binomial tail bounds
 
 
-def _log_binom_pmf(m: int, p: float, ks: np.ndarray) -> np.ndarray:
-    return (gammaln(m + 1) - gammaln(ks + 1) - gammaln(m - ks + 1)
-            + ks * math.log(p) + (m - ks) * math.log1p(-p))
-
-
 def binomial_tail_mass(m: int, p: float, lo: int | None, hi: int | None) -> float:
     """Exact P(Y <= lo) + P(Y >= hi) for Y ~ Binomial(m, p), in log space."""
+    # imported here: scipy.special is most of the package's import time, and only
+    # the binomial tails use it
+    from scipy.special import gammaln, logsumexp
+
+    def log_pmf(ks):
+        return (gammaln(m + 1) - gammaln(ks + 1) - gammaln(m - ks + 1)
+                + ks * math.log(p) + (m - ks) * math.log1p(-p))
+
     parts = []
     if lo is not None and lo >= 0:
-        parts.append(_log_binom_pmf(m, p, np.arange(0, min(lo, m) + 1)))
+        parts.append(log_pmf(np.arange(0, min(lo, m) + 1)))
     if hi is not None and hi <= m:
-        parts.append(_log_binom_pmf(m, p, np.arange(max(hi, 0), m + 1)))
+        parts.append(log_pmf(np.arange(max(hi, 0), m + 1)))
     if not parts:
         return 0.0
     return float(np.exp(logsumexp(np.concatenate(parts))))
@@ -423,7 +412,12 @@ def binomial_tail_check(grid: list[tuple[int, int]], eta: float) -> list[dict]:
 
 
 SIDES = ("upper", "lower")
-DRIFTS = ("toward", "increasing", "non-increasing")
+# drift rules: (label, measured on distances?, what each consecutive pair v1, v2 meets)
+DRIFTS = {
+    "toward": ("drift toward {target:.6f}", True, lambda v1, v2: v2 < v1),
+    "increasing": ("medians strictly increasing", False, lambda v1, v2: v2 > v1),
+    "non-increasing": ("medians non-increasing", False, lambda v1, v2: v2 <= v1),
+}
 # final-value rules, in check order: (label, measured on distances?, passes)
 FINAL_RULES = {
     "final_distance_max": ("final distance <=", True, lambda v, bound: v <= bound),
@@ -443,9 +437,10 @@ def validate_thresholds(rules: dict) -> dict:
         check_keys(rules[side], f"{side} rule", optional=("drift", "target", *FINAL_RULES))
         rule = {key: val for key, val in rules[side].items() if val is not None}
         drift, target = rule.get("drift"), rule.get("target")
-        if drift is not None and drift not in DRIFTS:
-            raise GapdimsError(f"unknown {side} drift {drift!r}; expected one of {DRIFTS}")
-        if target is None and (drift == "toward" or "final_distance_max" in rule):
+        if drift is not None and drift not in tuple(DRIFTS):   # a tuple: unhashable is unknown
+            raise GapdimsError(f"unknown {side} drift {drift!r}; expected one of {tuple(DRIFTS)}")
+        if target is None and ((drift is not None and DRIFTS[drift][1])
+                               or "final_distance_max" in rule):
             raise GapdimsError(f"{side} rule measures distance but has no target")
         if target not in (None, *TARGETS) and not isinstance(target, (int, float)):
             raise GapdimsError(f"unknown {side} target {target!r}; expected a number or {TARGETS}")
@@ -470,16 +465,12 @@ def check_thresholds(rules: dict, summaries: list[dict], targets: dict) -> list[
         target = rule.get("target")
         target = targets[target] if isinstance(target, str) else target
         dist = None if target is None else [abs(v - target) for v in med]
-        drift = rule.get("drift")
-        if drift == "toward":
-            checks.append({"check": f"{side} drift toward {target:.6f}", "distances": dist,
-                           "pass": all(d2 < d1 for d1, d2 in zip(dist, dist[1:]))})
-        elif drift == "increasing":
-            checks.append({"check": f"{side} medians strictly increasing", "medians": med,
-                           "pass": all(v2 > v1 for v1, v2 in zip(med, med[1:]))})
-        elif drift == "non-increasing":
-            checks.append({"check": f"{side} medians non-increasing", "medians": med,
-                           "pass": all(v2 <= v1 for v1, v2 in zip(med, med[1:]))})
+        if "drift" in rule:
+            label, on_dist, holds = DRIFTS[rule["drift"]]
+            values = dist if on_dist else med
+            checks.append({"check": f"{side} {label.format(target=target)}",
+                           "distances" if on_dist else "medians": values,
+                           "pass": all(map(holds, values, values[1:]))})
         for key, (label, on_dist, passes) in FINAL_RULES.items():
             if key in rule:
                 value = (dist if on_dist else med)[-1]

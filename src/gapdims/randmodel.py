@@ -74,17 +74,13 @@ class ApproxSet:
             raise DepthUnsupportedError(f"level {n} outside [0, {self.w}]")
         if n in self._interval_cache:
             return self._interval_cache[n]
-        if n == 0:
-            out = (np.zeros(1), np.ones(1))
-        else:
-            shallow = self.order < 2 ** n
-            lefts_g = self.gap_left[shallow]       # already left-to-right
-            lens_g = self.gap_len[shallow]
-            lefts = np.concatenate([[0.0], lefts_g + lens_g])
-            rights = np.concatenate([lefts_g, [1.0]])
-            out = (lefts, rights)
-        self._interval_cache[n] = out
-        return out
+        shallow = self.order < 2 ** n
+        lefts_g = self.gap_left[shallow]       # already left-to-right
+        lens_g = self.gap_len[shallow]
+        lefts = np.concatenate([[0.0], lefts_g + lens_g])
+        rights = np.concatenate([lefts_g, [1.0]])
+        self._interval_cache[n] = (lefts, rights)
+        return lefts, rights
 
     def solid_segments(self) -> tuple[np.ndarray, np.ndarray]:
         """Level-W intervals: the finest closed cover available at this depth."""

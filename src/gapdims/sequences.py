@@ -123,8 +123,6 @@ class GapSequence:
         """sum_{j >= 2^w} a_j = 2^w * s_w."""
         if self.rule_based:
             return float(np.exp(w * math.log(2.0) + self.log_level_sums(w)[w]))
-        if 2 ** w > len(self.gaps):
-            return 0.0
         return math.fsum(self.gaps[2 ** w - 1:][::-1])
 
     # -- serialization -----------------------------------------------------
@@ -180,9 +178,12 @@ def make_sequence(
         return GapSequence(kind="central", schedule=schedule, ratios=ratios)
 
     if kind == "explicit":
-        arr = np.asarray(gaps)
+        try:
+            arr = np.asarray(gaps)
+        except ValueError:   # a ragged list, such as [0.5, [0.25, 0.25]]
+            arr = None
         # one vectorised check: strings, bools and nulls give a non-numeric dtype
-        if arr.dtype.kind not in "iuf" or not np.isfinite(arr).all():
+        if arr is None or arr.dtype.kind not in "iuf" or not np.isfinite(arr).all():
             raise InvalidRangeError("explicit gaps must be a list of finite numbers")
         arr = arr.astype(np.float64, copy=False)
         if arr.ndim != 1 or arr.size == 0 or arr.size > MAX_EXPLICIT:
@@ -201,9 +202,8 @@ def make_sequence(
 class LevelProfile:
     """Level sums s_0..s_N with the empirical comparability constants.
 
-    tau_hat / lambda_hat are the extreme consecutive ratios s_{n+1}/s_n,
-    kappa_hat the empirical doubling constant max a_n / a_{2n}, all over
-    the computed range.  `level_comparable` certifies Eq.-style bounds
+    tau_hat / lambda_hat are the extreme consecutive ratios s_{n+1}/s_n
+    over the computed range.  `level_comparable` certifies Eq.-style bounds
     0 < tau <= s_{j+1}/s_j <= lambda < 1/2 with a 1e-9 strictness margin.
     """
 
@@ -212,9 +212,7 @@ class LevelProfile:
     log_s: np.ndarray
     tau_hat: float
     lambda_hat: float
-    kappa_hat: float
     level_comparable: bool
-    doubling: bool
 
     @property
     def n_max(self) -> int:
@@ -222,7 +220,7 @@ class LevelProfile:
 
 
 def level_sums(a: GapSequence, n_levels: int) -> LevelProfile:
-    """Compute the profile s_0..s_{n_levels} plus tau/lambda/kappa hats."""
+    """Compute the profile s_0..s_{n_levels} plus the tau/lambda hats."""
     if n_levels < 1:
         raise InsufficientDepthError(f"need at least one level, got {n_levels}")
     if not a.rule_based and 2 ** n_levels > a.max_index:
@@ -234,25 +232,12 @@ def level_sums(a: GapSequence, n_levels: int) -> LevelProfile:
     ratios = np.exp(np.diff(log_s))
     tau_hat = float(ratios.min())
     lambda_hat = float(ratios.max())
-
-    if a.rule_based:
-        lengths = a.level_gap_lengths(n_levels + 1)
-        # a_n / a_{2n}: index n at level m maps to index 2n at level m+1
-        kappa_hat = float(np.max(lengths[:-1] / lengths[1:]))
-    else:
-        g = a.gaps
-        half = len(g) // 2
-        kappa_hat = float(np.max(g[:half] / g[1::2][:half])) if half else math.inf
-
     level_comparable = tau_hat > 0.0 and lambda_hat <= 0.5 - _HALF_MARGIN
-    doubling = math.isfinite(kappa_hat)
     return LevelProfile(
         sequence=a,
         s=s,
         log_s=log_s,
         tau_hat=tau_hat,
         lambda_hat=lambda_hat,
-        kappa_hat=kappa_hat,
         level_comparable=level_comparable,
-        doubling=doubling,
     )

@@ -257,6 +257,12 @@ def test_zero_flag_values_are_checked_not_defaulted(outdir, capsys, argv):
     assert not (outdir / "z.json").exists()
 
 
+def test_phi_spec_with_a_parameter_its_family_ignores_exits_2(outdir, capsys):
+    assert main(["dims", "--seq", "middle-third", "--phi", "zero:5", "--out", "z"]) == 2
+    assert "zero takes no parameter" in _one_error_line(capsys)
+    assert not (outdir / "z.json").exists()
+
+
 def test_sequence_spec_without_ratios_exits_2(outdir, capsys):
     assert main(["dims", "--seq", "periodic:", "--out", "z"]) == 2
     assert "periodic schedule takes at least 1 ratio" in _one_error_line(capsys)

@@ -301,6 +301,30 @@ def test_threshold_unknown_drift_raises():
         validate_thresholds({"upper": {"drift": "decreasing"}})
 
 
+UPS, LOWS = [0.5, 0.625, 0.75], [0.25, 0.25, 0.125]   # binary fractions: exact distances
+DRIFT_LADDER = [{"median_up": up, "median_low": low, "sandwich_violations": 0}
+                for up, low in zip(UPS, LOWS)]
+
+
+@pytest.mark.parametrize("side, rule, record", [
+    ("upper", {"drift": "toward", "target": "formula_upper"},
+     {"check": "upper drift toward 1.000000", "distances": [0.5, 0.375, 0.25], "pass": True}),
+    ("upper", {"drift": "toward", "target": 0},
+     {"check": "upper drift toward 0.000000", "distances": UPS, "pass": False}),
+    ("upper", {"drift": "increasing"},
+     {"check": "upper medians strictly increasing", "medians": UPS, "pass": True}),
+    ("lower", {"drift": "increasing"},
+     {"check": "lower medians strictly increasing", "medians": LOWS, "pass": False}),
+    ("lower", {"drift": "non-increasing"},
+     {"check": "lower medians non-increasing", "medians": LOWS, "pass": True}),
+    ("upper", {"drift": "non-increasing"},
+     {"check": "upper medians non-increasing", "medians": UPS, "pass": False}),
+])
+def test_drift_check_records(side, rule, record):
+    rules = validate_thresholds({side: rule})
+    assert check_thresholds(rules, DRIFT_LADDER, {"formula_upper": 1.0}) == [record]
+
+
 def test_validated_thresholds_drop_nulls_and_evaluate_in_order():
     rules = validate_thresholds({"upper": {"drift": "increasing", "target": None,
                                            "final_min": 0.5, "final_max": None},
@@ -503,6 +527,16 @@ MALFORMED = {
     "explicit gaps a string": (explicit("ab"), EXPLICIT_GAPS),
     "explicit gap null": (explicit([0.5, None, 0.25]), EXPLICIT_GAPS),
     "explicit gap a bool": (explicit([True]), EXPLICIT_GAPS),
+    "explicit gaps ragged": (explicit([0.5, [0.25, 0.25]]), EXPLICIT_GAPS),
+    "parameter on zero": (put(*DICH, "dimension_function", value={"family": "zero", "param": 5}),
+                          "zero takes no parameter"),
+    "parameter on psi": (put(*DICH, "dimension_function", value={"family": "psi", "param": 3.0}),
+                         "psi takes no parameter"),
+    "parameter on tabulated": (chain(tabulated([[0.1, 0.5], [0.01, 0.5]]),
+                                     put(*DICH, "dimension_function", "param", value=0.5)),
+                               "tabulated takes no parameter"),
+    "grid on constant": (put(*DICH, "dimension_function", "grid", value=[[0.1, 0.5], [0.01, 0.5]]),
+                         "constant takes no grid"),
     "unknown top-level key": (put("trails", value=2), "manifest: 'trails'"),
     "missing top-level key": (drop("master_seed"), "missing key.*'master_seed'"),
     "dichotomy without the manifest's w": (drop("w"), "needs the manifest's 'w'"),

@@ -1,5 +1,9 @@
 """The public API is pinned here, so that any change to it shows in a diff."""
 
+import os
+import subprocess
+import sys
+
 import gapdims
 
 PUBLIC = [
@@ -17,3 +21,14 @@ PUBLIC = [
 def test_public_names_are_pinned():
     assert sorted(gapdims.__all__) == PUBLIC
     assert all(hasattr(gapdims, name) for name in PUBLIC)
+
+
+def test_import_does_not_load_scipy():
+    # scipy.special dominates import time and only the binomial tails use it
+    src = os.path.dirname(os.path.dirname(gapdims.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", "import sys, gapdims; "
+                           "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+                          capture_output=True, text=True, timeout=120, env=env)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

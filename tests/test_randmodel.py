@@ -99,6 +99,22 @@ def test_level_intervals_nest():
     assert len(s.level_intervals(9)[0]) == 2 ** 9
 
 
+def test_explicit_sequence_builds_the_rule_based_set():
+    # the first 2^K - 1 middle-third gaps, then 2^K gaps of 3^-K carrying the tail (2/3)^K
+    k = 10
+    levels = np.repeat(np.arange(1, k + 1), 2 ** np.arange(k))
+    gaps = np.concatenate([3.0 ** -levels, np.full(2 ** k, 3.0 ** -k)])
+    explicit = make_sequence("explicit", gaps=gaps.tolist())
+    for w in (1, 6, k):
+        for arrangement, seed in (("random", 5), ("cantor", None), ("decreasing", None)):
+            s = build_set(explicit, w, arrangement, seed=seed)
+            want = build_set(MID, w, arrangement, seed=seed)
+            assert np.array_equal(s.order, want.order)
+            for name in ("gap_len", "gap_left", "slot_mass"):
+                assert np.allclose(getattr(s, name), getattr(want, name), rtol=0, atol=1e-12)
+            assert [x.tolist() for x in s.level_intervals(0)] == [[0.0], [1.0]]
+
+
 def test_rank_slots_equals_geometry():
     # label-rank shortcut == actually locating each deep gap's interval
     w, n, seed = 10, 4, 17

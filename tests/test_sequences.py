@@ -99,13 +99,6 @@ def test_level_comparability_constants():
     assert p2.level_comparable
 
 
-def test_doubling_constant_middle_third():
-    # a_n / a_{2n} = 3 always: index 2n is exactly one level deeper
-    p = level_sums(make_sequence("middle-third"), 20)
-    assert p.kappa_hat == pytest.approx(3.0, rel=1e-12)
-    assert p.doubling
-
-
 def test_deep_rule_based_levels_use_logs():
     a = make_sequence("middle-third")
     log_s = a.log_level_sums(380)
