@@ -46,7 +46,7 @@ def parse_sequence(text: str) -> GapSequence:
     or 'file:PATH' with one explicit gap length per line."""
     head, _, rest = text.partition(":")
     if head == "middle-third":
-        return make_sequence("middle-third")
+        return make_sequence("middle-third", ratios=rest or None)
     if head in ("central", "periodic", "blocks"):
         ratios = [float(tok) for tok in rest.split(",") if tok]
         schedule = "constant" if head == "central" else head

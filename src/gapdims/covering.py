@@ -242,19 +242,23 @@ def estimate_dimension(s: ApproxSet, direction: str, f: DimensionFunction,
     Only ``d`` is read; ``f`` and ``p`` must be the Phi and the profile
     it was built from.  "upper" takes the max exponent over windows,
     "lower" the min; empty windows (count 0) are skipped — centers lie in
-    the set, so they only arise from subsampled neighbors.  All windows
-    are counted in one lockstep sweep; the reduction is a deterministic
-    extremum with a lexicographic tie-break on the window.
+    the set, so they only arise from subsampled neighbors.  Windows not
+    yet counted on ``s`` are counted in one lockstep sweep and remembered
+    by the set, since a count depends only on its segments, x +- R and r;
+    the reduction is a deterministic extremum with a lexicographic
+    tie-break on the window.
     """
     if direction not in ("upper", "lower"):
         raise InvalidRangeError(f"direction must be upper or lower, got {direction!r}")
     if p is not d.profile or f != d.func:
         raise InvalidRangeError("f and p must be the Phi and the profile that d was built from")
     windows = enumerate_windows(s, d, policy)
-    _, _, x, big_r, r = (np.array(col) for col in zip(*windows))
-    counts = _cover_counts(*s.solid_segments(), x - big_r, x + big_r, r)
+    memo = s._count_cache
+    new = list(dict.fromkeys(win[2:] for win in windows if win[2:] not in memo))
+    x, big_r, r = np.array(new).reshape(-1, 3).T
+    memo.update(zip(new, _cover_counts(*s.solid_segments(), x - big_r, x + big_r, r).tolist()))
     records = [CoverQuery(n=n, k=k, center_x=cx, radius_R=cR, scale_r=cr, count_N=c)
-               for (n, k, cx, cR, cr), c in zip(windows, counts.tolist()) if c >= 1]
+               for n, k, cx, cR, cr in windows if (c := memo[cx, cR, cr]) >= 1]
     if not records:
         raise NoAdmissibleWindowError("all enumerated windows were empty")
     sign = 1.0 if direction == "upper" else -1.0

@@ -59,6 +59,8 @@ class ApproxSet:
     gap_len: np.ndarray              # length of gap order[p]
     slot_mass: np.ndarray            # length of slot p
     _interval_cache: dict = field(default_factory=dict, repr=False, compare=False)
+    # exact cover count of each window (x, R, r) resolved on this set
+    _count_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def n_gaps(self) -> int:
@@ -92,6 +94,25 @@ class ApproxSet:
         return 2.0 * float(np.max(rights - lefts))
 
 
+def _stable_order(omega: np.ndarray, w: int) -> np.ndarray:
+    """``np.argsort(omega, kind="stable")`` for fewer than 2^w labels in [0, 1): one
+    in-place sort of uint64 keys, the top min(53, 64 - w) bits of label * 2^53
+    over its w-bit index, then a re-sort of the runs whose kept bits tie."""
+    key = (omega * 2.0 ** 53).astype(np.uint64)   # exact: 53-bit mantissas
+    key >>= np.uint64(max(w - 11, 0))
+    key <<= np.uint64(w)
+    key |= np.arange(omega.size, dtype=np.uint64)
+    key.sort()
+    tied = (key[1:] ^ key[:-1]) < 2 ** w   # key p + 1 ties with key p
+    key &= np.uint64(2 ** w - 1)
+    order = key.view(np.int64)
+    with_prev = np.concatenate([[False], tied])
+    pos = np.flatnonzero(with_prev | np.concatenate([tied, [False]]))
+    idx = order[pos]
+    order[pos] = idx[np.lexsort((idx, omega[idx], np.cumsum(~with_prev[pos])))]
+    return order
+
+
 def _assemble(sequence: GapSequence, w: int, order: np.ndarray,
               slot_mass: np.ndarray) -> ApproxSet:
     gap_len = sequence.gap_lengths(order)
@@ -119,7 +140,7 @@ def build_set(sequence: GapSequence, w: int, arrangement: str, seed: int | None 
         if seed is None:
             raise ValueError("random arrangement requires a seed")
         omega = rng.uniforms(seed, 1, 2 ** w)
-        perm = np.argsort(omega, kind="stable")
+        perm = _stable_order(omega, w)
         order = perm + 1
         spacings = np.diff(np.concatenate([[0.0], omega[perm], [1.0]]))
         slot_mass = tail * spacings / spacings.sum()

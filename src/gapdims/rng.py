@@ -21,14 +21,18 @@ _MIX2 = 0x94D049BB133111EB
 _MASK = 0xFFFFFFFFFFFFFFFF
 
 
-def _mixed_words(seed: int, counters: np.ndarray) -> np.ndarray:
-    z = (np.uint64(seed & _MASK) + counters * np.uint64(_GOLDEN)).astype(np.uint64)
+def _mixed_words(seed: int, z: np.ndarray) -> np.ndarray:
+    """splitmix64 words of the uint64 counters ``z``, computed in place:
+    ``z`` is consumed and returned, and one scratch array takes the shifts."""
+    t = np.empty_like(z)
     with np.errstate(over="ignore"):
-        z ^= z >> np.uint64(30)
+        z *= np.uint64(_GOLDEN)
+        z += np.uint64(seed & _MASK)
+        z ^= np.right_shift(z, np.uint64(30), out=t)
         z *= np.uint64(_MIX1)
-        z ^= z >> np.uint64(27)
+        z ^= np.right_shift(z, np.uint64(27), out=t)
         z *= np.uint64(_MIX2)
-        z ^= z >> np.uint64(31)
+        z ^= np.right_shift(z, np.uint64(31), out=t)
     return z
 
 
@@ -40,11 +44,15 @@ def derive_seed(master_seed: int, stream_id: int) -> int:
 def uniforms(seed: int, start: int, stop: int) -> np.ndarray:
     """U[0,1) variates for counters start..stop-1 (53-bit mantissas)."""
     z = _mixed_words(seed, np.arange(start, stop, dtype=np.uint64))
-    return (z >> np.uint64(11)).astype(np.float64) * (2.0 ** -53)
+    z >>= np.uint64(11)
+    u = z.view(np.float64)
+    np.copyto(u, z)   # elementwise, so the float64 view can overwrite its source
+    u *= 2.0 ** -53
+    return u
 
 
 def bin_indices(seed: int, start: int, stop: int, n_bins_log2: int) -> np.ndarray:
     """Uniform bin labels in [0, 2^n_bins_log2) from the top output bits."""
-    counters = np.arange(start, stop, dtype=np.uint64)
-    z = _mixed_words(seed, counters)
-    return (z >> np.uint64(64 - n_bins_log2)).astype(np.int64)
+    z = _mixed_words(seed, np.arange(start, stop, dtype=np.uint64))
+    z >>= np.uint64(64 - n_bins_log2)
+    return z.view(np.int64)

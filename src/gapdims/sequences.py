@@ -146,15 +146,21 @@ def make_sequence(
     kind: str,
     ratios=None,
     gaps=None,
-    schedule: str = "constant",
+    schedule: str | None = None,
 ) -> GapSequence:
     """Validating factory for gap sequences.
 
     kind "middle-third":  the classical a_i = 3^-n rule.
     kind "central":       ratio schedule; `ratios` is a float or list,
-                          `schedule` one of constant / periodic / blocks.
+                          `schedule` constant (default) / periodic / blocks.
     kind "explicit":      `gaps` is a positive non-increasing list, sum 1.
+    An argument that the kind does not take is refused, not ignored.
     """
+    if kind in ("middle-third", "central", "explicit"):
+        for name, value, owner in (("ratios", ratios, "central"), ("gaps", gaps, "explicit"),
+                                   ("schedule", schedule, "central")):
+            if value is not None and kind != owner:
+                raise InvalidRatioError(f"{kind} sequence takes no {name}")
     if kind == "middle-third":
         return GapSequence(kind="middle-third", schedule="constant", ratios=(1.0 / 3.0,))
 
@@ -163,6 +169,7 @@ def make_sequence(
             raise InvalidRatioError("central sequence needs at least one ratio")
         if np.isscalar(ratios):
             ratios = [ratios]
+        schedule = "constant" if schedule is None else schedule
         if schedule not in tuple(_RATIO_COUNTS):   # a tuple: unhashable is just unknown
             raise InvalidRatioError(f"unknown schedule {schedule!r}")
         lo, hi = _RATIO_COUNTS[schedule]

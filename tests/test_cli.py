@@ -267,3 +267,9 @@ def test_sequence_spec_without_ratios_exits_2(outdir, capsys):
     assert main(["dims", "--seq", "periodic:", "--out", "z"]) == 2
     assert "periodic schedule takes at least 1 ratio" in _one_error_line(capsys)
     assert not (outdir / "z.json").exists()
+
+
+def test_sequence_spec_with_ratios_its_kind_ignores_exits_2(outdir, capsys):
+    assert main(["dims", "--seq", "middle-third:0.3", "--out", "z"]) == 2
+    assert "middle-third sequence takes no ratios" in _one_error_line(capsys)
+    assert not (outdir / "z.json").exists()

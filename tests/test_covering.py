@@ -18,6 +18,7 @@ from gapdims import (
     make_dimension_function,
     make_sequence,
 )
+from gapdims import covering
 from gapdims.covering import _cover_counts
 
 MID = make_sequence("middle-third")
@@ -231,6 +232,32 @@ def test_estimate_dimension_cantor_control():
     for direction in ("upper", "lower"):
         est = estimate_dimension(s, direction, f, p, d, policy)
         assert est.beta_hat == pytest.approx(want, abs=1e-7)
+
+
+def test_estimates_count_each_window_once_per_set(monkeypatch):
+    passed = []     # number of windows handed to the kernel, per call
+
+    def counting(lefts, rights, lo, hi, r):
+        passed.append(len(lo))
+        return _cover_counts(lefts, rights, lo, hi, r)
+
+    monkeypatch.setattr(covering, "_cover_counts", counting)
+    p = level_sums(MID, 30)
+    f = make_dimension_function("zero")
+    d = depth_function(f, p, 28, clip=True)
+    first = WindowPolicy(n_values=(3, 5), k_min=1, k_max=3)
+    overlap = WindowPolicy(n_values=(5, 6), k_min=2, k_max=4)   # shares n = 5, k = 2..3
+    s = build_set(MID, 14, "random", seed=5)
+    runs = [("upper", first), ("upper", first), ("lower", first), ("lower", overlap),
+            ("upper", overlap)]
+    got = [estimate_dimension(s, direction, f, p, d, policy) for direction, policy in runs]
+    wins = {pol: {w[2:] for w in enumerate_windows(s, d, pol)} for pol in (first, overlap)}
+    fresh_overlap = len(wins[overlap] - wins[first])
+    assert passed == [len(wins[first]), 0, 0, fresh_overlap, 0]
+    assert 0 < fresh_overlap < len(wins[overlap])
+    for (direction, policy), est in zip(runs, got):
+        fresh = build_set(MID, 14, "random", seed=5)
+        assert est == estimate_dimension(fresh, direction, f, p, d, policy)
 
 
 def test_estimate_refuses_f_or_p_that_d_was_not_built_from():

@@ -514,6 +514,21 @@ MALFORMED = {
     "dimension-function param a bool": (put(*DICH, "dimension_function", "param", value=True),
                                         "constant parameter must be a number"),
     "sequence without kind": (put("sequence", value={}), "missing key.*'kind'"),
+    "ratios on middle-third": (put("sequence", "ratios", value=[0.3]),
+                               "middle-third sequence takes no ratios"),
+    "schedule on middle-third": (put("sequence", "schedule", value="constant"),
+                                 "middle-third sequence takes no schedule"),
+    "gaps on middle-third": (put("sequence", "gaps", value=[1.0]),
+                             "middle-third sequence takes no gaps"),
+    "gaps on central": (put("sequence", value={"kind": "central", "ratios": [0.3],
+                                               "gaps": [1.0]}),
+                        "central sequence takes no gaps"),
+    "ratios on explicit": (chain(explicit([0.5, 0.25, 0.25]), put("sequence", "ratios",
+                                                                  value=[0.3])),
+                           "explicit sequence takes no ratios"),
+    "schedule on explicit": (chain(explicit([0.5, 0.25, 0.25]), put("sequence", "schedule",
+                                                                    value="blocks")),
+                             "explicit sequence takes no schedule"),
     "tabulated grid point null": (tabulated([[None, 1.0], [0.01, 0.5]]),
                                   "tabulated grid entry must be a number"),
     "tabulated grid a number": (tabulated(5), r"needs a list of >= 2 \[x, value\] pairs"),

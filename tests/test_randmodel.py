@@ -12,6 +12,7 @@ from gapdims import (
     make_sequence,
     slot_counts,
 )
+from gapdims import randmodel, rng
 
 from helpers import (
     gap_counts_in_level_intervals,
@@ -36,6 +37,43 @@ def test_order_matches_label_ranks():
     order = build_set(MID, w, "random", seed=11).order
     # gap at position p has the (p+1)-th smallest label
     assert np.array_equal(np.sort(omega)[np.arange(2 ** w - 1)], omega[order - 1])
+
+
+def _labels(ints) -> np.ndarray:
+    """Labels with the given 53-bit integers, as rng.uniforms makes them."""
+    return np.asarray(ints, dtype=np.float64) * 2.0 ** -53
+
+
+def test_stable_order_breaks_every_kind_of_tie_as_argsort():
+    gen = np.random.default_rng(7)
+    w = 12
+    n = 2 ** w - 1
+    base = gen.integers(0, 2 ** 53, size=40, dtype=np.int64)
+    cases = {
+        "exact duplicates": _labels(gen.choice(base, size=n)),
+        # equal in the kept top 64 - w bits, apart only in the w - 11 dropped low bits
+        "dropped low bits": _labels(gen.choice(base >> 1 << 1, size=n) + gen.integers(0, 2, n)),
+        "zeros": _labels(np.where(gen.random(n) < 0.3, 0, gen.integers(0, 2 ** 53, n))),
+        "all equal": _labels(np.full(n, 12345)),
+        "distinct": rng.uniforms(3, 1, 2 ** w),
+    }
+    for name, omega in cases.items():
+        want = np.argsort(omega, kind="stable")
+        assert np.array_equal(randmodel._stable_order(omega, w), want), name
+    # w <= 11 keeps all 53 bits, so only exact duplicates tie
+    for w in (1, 5, 11):
+        omega = _labels(gen.choice(base[:3], size=2 ** w - 1))
+        assert np.array_equal(randmodel._stable_order(omega, w),
+                              np.argsort(omega, kind="stable")), w
+
+
+def test_stable_order_on_a_real_draw_with_ties():
+    # at W = 23 this seed's labels share their kept 41 top bits in 23 pairs
+    w = 23
+    omega = rng.uniforms(rng.derive_seed(99, 0), 1, 2 ** w)
+    kept = np.sort((omega * 2.0 ** 53).astype(np.uint64) >> np.uint64(w - 11))
+    assert np.count_nonzero(kept[1:] == kept[:-1]) == 23
+    assert np.array_equal(randmodel._stable_order(omega, w), np.argsort(omega, kind="stable"))
 
 
 def test_mass_invariants_all_arrangements():

@@ -33,6 +33,19 @@ def test_derive_seed_matches_reference():
             assert rng.derive_seed(m, t) == splitmix64(m, t + 1), (m, t)
 
 
+def test_uniforms_and_bin_indices_match_reference():
+    # a few hundred counters from an offset start, through the in-place draw
+    start, stop = 1000, 1300
+    for seed in (0, 99, -1, 2 ** 64 + 5, rng.derive_seed(99, 3)):
+        words = [splitmix64(seed, c) for c in range(start, stop)]
+        assert rng.uniforms(seed, start, stop).tolist() == \
+            [(w >> 11) * 2.0 ** -53 for w in words]
+        for bits in (1, 20, 63):
+            idx = rng.bin_indices(seed, start, stop, bits)
+            assert idx.dtype == np.int64
+            assert idx.tolist() == [w >> (64 - bits) for w in words]
+
+
 def test_uniforms_match_reference_words():
     # uniforms take the top 53 bits of the mixed word
     u = rng.uniforms(0, 1, 4)
