@@ -11,6 +11,8 @@ Counting is exact: in one dimension the greedy sweep (always start the
 next ball at the leftmost uncovered point) is optimal.  One vectorized
 kernel runs that sweep over all windows of an estimate in lockstep, with
 the serial loop's float arithmetic, so counts match it bit for bit.
+Wide windows are counted by 2r-clusters instead, with the same counts
+in far fewer lockstep steps.
 Radii below the approximation's truncation floor are skipped, since at
 those scales the depth-W set no longer resolves the true one.  Window
 centers sit at endpoints of the construction intervals: these are points
@@ -34,18 +36,15 @@ from .randmodel import ApproxSet
 from .sequences import LevelProfile
 
 
-def _cover_counts(lefts, rights, lo, hi, r) -> np.ndarray:
-    """Minimal closed 2r-interval cover of the segments clipped to [lo, hi],
-    for every window at once.
+def _lockstep_counts(lefts, rights, lo, hi, width) -> np.ndarray:
+    """Minimal closed ``width``-interval cover of the segments clipped to
+    [lo, hi], for every window at once.
 
     Each lockstep step handles the next uncovered segment of every active
     window, then jumps past the segments its balls cover.  A window retires
     when its segments run out or its cover reaches hi, so the loop runs
     max(segments visited) <= max(N) steps, not one per segment.
     """
-    lo = np.asarray(lo, dtype=np.float64)
-    hi = np.asarray(hi, dtype=np.float64)
-    width = 2.0 * np.asarray(r, dtype=np.float64)
     idx = np.searchsorted(rights, lo, side="left")
     end = np.searchsorted(lefts, hi, side="right")
     counts = np.zeros(lo.shape, dtype=np.int64)
@@ -68,6 +67,57 @@ def _cover_counts(lefts, rights, lo, hi, r) -> np.ndarray:
             counts[pos[~live]] = balls[~live]
             pos, lo, hi, width, idx, end, covered, balls = (
                 v[live] for v in (pos, lo, hi, width, idx, end, covered, balls))
+    return counts
+
+
+# A greedy cover of a 2r-cluster ends at most 2r past its last segment, plus
+# under 5 ulp(1) of rounding for coordinates in [0, 1]: a space wider than
+# 2r(1 + 1e-9) + 8 ulp(1) is a break.  A wider margin only merges clusters.
+_BREAK_ULPS = 8 * np.finfo(np.float64).eps
+
+
+def _cover_counts(lefts, rights, lo, hi, r) -> np.ndarray:
+    """`_lockstep_counts` of 2r-balls, bit for bit, for every window at once.
+
+    No ball reaches across a space wider than 2r, so the greedy sweep
+    restarts after it as in a fresh window.  When the windows of one r
+    together span more segments than the set holds, a window's count is
+    that of its clipped first 2r-cluster, a prefix sum over one lockstep
+    batch of all clusters, and that of its clipped last cluster.
+    """
+    lo, hi, r = (np.asarray(v, dtype=np.float64) for v in (lo, hi, r))
+    idx = np.searchsorted(rights, lo, side="left")
+    end = np.searchsorted(lefts, hi, side="right")
+    counts = np.zeros(lo.shape, dtype=np.int64)
+    live = idx < end
+    parts = []     # (window, lo, hi, r) of the windows or clipped ends still to count
+    breaks = None
+    for radius in np.unique(r[live]):
+        win = np.flatnonzero(live & (r == radius))
+        first, stop = idx[win], end[win]
+        if np.sum(stop - first) <= lefts.size:
+            parts.append((win, lo[win], hi[win], r[win]))
+            continue
+        if breaks is None:   # radii ascend, so later breaks are among these
+            a, b = idx[live].min(), end[live].max()
+            breaks, spaces = np.arange(a + 1, b), lefts[a + 1:b] - rights[a:b - 1]
+        keep = spaces > 2.0 * radius * (1.0 + 1e-9) + _BREAK_ULPS
+        breaks, spaces = breaks[keep], spaces[keep]
+        a, b = first.min(), stop.max()
+        starts = np.concatenate([[a], breaks[(breaks > a) & (breaks < b)]])
+        lasts = np.append(starts[1:], b) - 1
+        full = _lockstep_counts(lefts, rights, lefts[starts], rights[lasts],
+                                np.full(starts.size, 2.0 * radius))
+        head = np.searchsorted(starts, first, side="right") - 1
+        tail = np.searchsorted(starts, stop - 1, side="right") - 1
+        split = head < tail
+        cum = np.concatenate([[0], np.cumsum(full)])
+        counts[win[split]] = cum[tail[split]] - cum[head[split] + 1]
+        parts.append((win, lo[win], np.where(split, rights[lasts[head]], hi[win]), r[win]))
+        parts.append((win[split], lefts[starts[tail[split]]], hi[win[split]], r[win[split]]))
+    if parts:
+        win, lo, hi, r = (np.concatenate(col) for col in zip(*parts))
+        np.add.at(counts, win, _lockstep_counts(lefts, rights, lo, hi, 2.0 * r))
     return counts
 
 
@@ -195,14 +245,16 @@ def _auto_n_values(d: DepthTable, w: int, floor: float, policy: WindowPolicy) ->
     return tuple(feasible[-policy.auto_n_count:])
 
 
-def _pick_centers(s: ApproxSet, n: int, policy: WindowPolicy) -> np.ndarray:
-    lefts, rights = s.level_intervals(n)
-    centers = np.unique(np.concatenate([lefts, rights]))
-    if len(centers) <= policy.max_centers:
-        return centers
-    u = rng.uniforms(rng.derive_seed(0, n), 0, len(centers))
-    keep = np.sort(np.argsort(u, kind="stable")[: policy.max_centers])
-    return centers[keep]
+def _pick_centers(s: ApproxSet, n: int, max_centers: int) -> np.ndarray:
+    key = (n, max_centers)
+    if key not in s._center_cache:
+        lefts, rights = s.level_intervals(n)
+        centers = np.unique(np.concatenate([lefts, rights]))
+        if len(centers) > max_centers:
+            u = rng.uniforms(rng.derive_seed(0, n), 0, len(centers))
+            centers = centers[np.sort(np.argsort(u, kind="stable")[:max_centers])]
+        s._center_cache[key] = centers
+    return s._center_cache[key]
 
 
 def enumerate_windows(s: ApproxSet, d: DepthTable,
@@ -224,7 +276,7 @@ def enumerate_windows(s: ApproxSet, d: DepthTable,
         if not d.n_min <= n <= min(d.n_max, s.w):
             raise InvalidRangeError(f"window level {n} outside phi table or depth")
         big_r = (1.0 - RADIUS_SHRINK) * p.s[n]
-        centers = _pick_centers(s, n, policy)
+        centers = _pick_centers(s, n, policy.max_centers)
         for k in range(policy.k_min, policy.k_max + 1):
             m = n + d.phi(n) + k
             # the ladder is intersected with the truncation floor

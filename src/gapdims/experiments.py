@@ -101,12 +101,13 @@ def _dichotomy_profile(a: GapSequence) -> LevelProfile:
     return _comparable_profile(a, N_LEVELS, "dichotomy theorems")
 
 
-def _betas(d, depth, arrangement, seed, policies) -> tuple[float, float]:
-    """(upper, lower) estimates on one arrangement of ``d.profile``'s
-    sequence at one ladder depth."""
-    s = randmodel.build_set(d.profile.sequence, depth, arrangement, seed=seed)
-    return tuple(estimate_dimension(s, direction, d.func, d.profile, d, pol).beta_hat
-                 for direction, pol in zip(("upper", "lower"), policies[depth]))
+def _betas(a, depth, arrangement, seed, runs) -> list[tuple[float, float]]:
+    """(upper, lower) estimates of each (f, depth table, policies) run on one
+    arrangement of ``a`` at one ladder depth, all on one set and its count memo."""
+    s = randmodel.build_set(a, depth, arrangement, seed=seed)
+    return [tuple(estimate_dimension(s, direction, f, d.profile, d, pol).beta_hat
+                  for direction, pol in zip(("upper", "lower"), policies[depth]))
+            for f, d, policies in runs]
 
 
 def default_policies(depths: tuple[int, ...]) -> dict:
@@ -143,53 +144,63 @@ def run_dichotomy_experiment(
     depth as the deterministic control.  One pool of ``workers`` threads
     runs every task and returns the results in submission order.
     """
+    return _dichotomy_reports(a, [(f, policies)], w, trials, master_seed, workers)[0]
+
+
+def _dichotomy_reports(a: GapSequence, entries: list, w: int, trials: int, master_seed: int,
+                       workers: int) -> list[ExperimentReport]:
+    """One report per (f, policies or None) entry, all from one task map:
+    each task builds one (depth, trial) set, or one depth's cantor control,
+    and runs every entry's policies on it."""
     _check_trials(trials, master_seed)
     check_value(workers, "workers", 1)
     check_value(w, "w", *LADDER_W)
     p = _dichotomy_profile(a)
-    d = depth_function(f, p, N_LEVELS - 1, clip=True)
     box = box_dim_estimate(p)
     depths = (w - 6, w - 3, w)
-    if policies is None:
-        policies = default_policies(depths)
+    runs = [(f, depth_function(f, p, N_LEVELS - 1, clip=True),
+             default_policies(depths) if policies is None else policies)
+            for f, policies in entries]
     seeds = [rng.derive_seed(master_seed, t) for t in range(trials)]
     # per depth: each trial's random set, then the cantor control
     tasks = [(depth, arrangement, seed) for depth in depths
              for arrangement, seed in [*(("random", s) for s in seeds), ("cantor", None)]]
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        betas = list(pool.map(lambda task: _betas(d, *task, policies), tasks))
-
-    summaries = []
-    for i, depth in enumerate(depths):
-        *rows, (c_up, c_lo) = betas[i * (trials + 1):(i + 1) * (trials + 1)]
-        ups, los = np.array(rows).T
-        bad = int(np.sum((los > box + 0.05) | (ups < box - 0.05)))
-        summaries.append(DepthSummary(
-            depth=depth,
-            median_up=float(np.median(ups)), median_low=float(np.median(los)),
-            quartiles_up=[float(np.quantile(ups, 0.25)), float(np.quantile(ups, 0.75))],
-            quartiles_low=[float(np.quantile(los, 0.25)), float(np.quantile(los, 0.75))],
-            cantor_up=c_up, cantor_low=c_lo,
-            sandwich_violations=bad,
-            trials=[{"trial_id": t, "seed": seed, "beta_up": up, "beta_low": lo}
-                    for t, (seed, (up, lo)) in enumerate(zip(seeds, rows))],
-        ))
+        betas = list(pool.map(lambda task: _betas(a, *task, runs), tasks))
 
     n_formula = min(p.n_max, 2 * N_LEVELS // 3)
-    targets = dict(zip(TARGETS, (upper_phi_dim_formula(d, n_formula).beta_limit,
-                                 lower_phi_dim_formula(d, n_formula).beta_limit,
-                                 box, 1.0, 0.0)))
-    config = {
-        "sequence": a.to_config(),
-        "dimension_function": f.to_config(),
-        "w": w,
-        "trials": trials,
-        "n_levels": N_LEVELS,
-        "policies": {str(depth): [up.to_config(), lo.to_config()]
-                     for depth, (up, lo) in policies.items()},
-    }
-    return ExperimentReport(config=config, master_seed=master_seed,
-                            summaries=tuple(summaries), targets=targets)
+    reports = []
+    for e, (f, d, policies) in enumerate(runs):
+        summaries = []
+        for i, depth in enumerate(depths):
+            *rows, (c_up, c_lo) = (b[e] for b in betas[i * (trials + 1):(i + 1) * (trials + 1)])
+            ups, los = np.array(rows).T
+            bad = int(np.sum((los > box + 0.05) | (ups < box - 0.05)))
+            summaries.append(DepthSummary(
+                depth=depth,
+                median_up=float(np.median(ups)), median_low=float(np.median(los)),
+                quartiles_up=[float(np.quantile(ups, 0.25)), float(np.quantile(ups, 0.75))],
+                quartiles_low=[float(np.quantile(los, 0.25)), float(np.quantile(los, 0.75))],
+                cantor_up=c_up, cantor_low=c_lo,
+                sandwich_violations=bad,
+                trials=[{"trial_id": t, "seed": seed, "beta_up": up, "beta_low": lo}
+                        for t, (seed, (up, lo)) in enumerate(zip(seeds, rows))],
+            ))
+        targets = dict(zip(TARGETS, (upper_phi_dim_formula(d, n_formula).beta_limit,
+                                     lower_phi_dim_formula(d, n_formula).beta_limit,
+                                     box, 1.0, 0.0)))
+        config = {
+            "sequence": a.to_config(),
+            "dimension_function": f.to_config(),
+            "w": w,
+            "trials": trials,
+            "n_levels": N_LEVELS,
+            "policies": {str(depth): [up.to_config(), lo.to_config()]
+                         for depth, (up, lo) in policies.items()},
+        }
+        reports.append(ExperimentReport(config=config, master_seed=master_seed,
+                                        summaries=tuple(summaries), targets=targets))
+    return reports
 
 
 def policies_from_config(cfg: dict, w: int) -> dict[int, tuple[WindowPolicy, WindowPolicy]]:
@@ -483,15 +494,13 @@ def check_thresholds(rules: dict, summaries: list[dict], targets: dict) -> list[
     return checks
 
 
-# kind -> (run(sequence, manifest, parsed entry, workers) -> report record, the guard the run
-# also calls (same arguments, no workers), required entry keys, other allowed keys, label of
-# the frequency >= min_frequency check or None for threshold rules).  Lambdas look their
+# kind -> (run(sequence, manifest, parsed entry, workers) -> report record, or None for
+# dichotomy, whose entries `run_manifest` runs together; the guard the run also calls (same
+# arguments, no workers); required entry keys; other allowed keys; label of the
+# frequency >= min_frequency check or None for threshold rules).  Lambdas look their
 # experiment up when called, so a rebound module function (a tracer's wrapper) is the one run.
 MANIFEST_KINDS = {
-    "dichotomy": (lambda a, m, e, workers: run_dichotomy_experiment(
-                      a, e["dimension_function"], m["w"], m["trials"], m["master_seed"],
-                      policies=e.get("policies"), workers=workers).to_record(),
-                  lambda a, m, e: _dichotomy_profile(a),
+    "dichotomy": (None, lambda a, m, e: _dichotomy_profile(a),
                   ("dimension_function", "thresholds"), ("policies",), None),
     "max_load": (lambda a, m, e, workers: max_load_statistic(
                      a, e["w"], e["n"], e["phi_n"], m["trials"], m["master_seed"]),
@@ -544,18 +553,25 @@ def validate_manifest(manifest: dict) -> tuple[GapSequence, list[tuple[str, str,
 
 
 def run_manifest(manifest: dict, workers: int = 1) -> dict:
-    """Validate a whole manifest, then run its experiments in order and
-    evaluate every binding check; ``workers`` threads run dichotomy trials.
+    """Validate a whole manifest, then run its experiments and evaluate
+    every binding check, in manifest order.  All dichotomy entries run as
+    one task map of ``workers`` threads: each (depth, trial) set, and each
+    depth's cantor control, is built once for every entry's policies.
     Malformed input raises GapdimsError before the first trial."""
     check_value(workers, "workers", 1)
     a, plan = validate_manifest(manifest)
+    entries = [(e["dimension_function"], e.get("policies"))
+               for _, kind, e in plan if kind == "dichotomy"]
+    reports = iter(_dichotomy_reports(a, entries, manifest["w"], manifest["trials"],
+                                      manifest["master_seed"], workers) if entries else ())
     results = []
     for name, kind, entry in plan:
         run, _, _, _, label = MANIFEST_KINDS[kind]
-        record = run(a, manifest, entry, workers)
         if label is None:
+            record = next(reports).to_record()
             checks = check_thresholds(entry["thresholds"], record["depths"], record["targets"])
         else:
+            record = run(a, manifest, entry, workers)
             freq, least = record["frequency"], entry["min_frequency"]
             checks = [{"check": f"{label} >= {least}", "value": freq, "pass": freq >= least}]
         results.append({"name": name, "kind": kind, "report": record, "checks": checks,

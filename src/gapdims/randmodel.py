@@ -16,6 +16,7 @@ and independently of evaluation order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -59,6 +60,8 @@ class ApproxSet:
     gap_len: np.ndarray              # length of gap order[p]
     slot_mass: np.ndarray            # length of slot p
     _interval_cache: dict = field(default_factory=dict, repr=False, compare=False)
+    # window centers picked at each (level n, max_centers)
+    _center_cache: dict = field(default_factory=dict, repr=False, compare=False)
     # exact cover count of each window (x, R, r) resolved on this set
     _count_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
@@ -90,6 +93,10 @@ class ApproxSet:
 
     def truncation_floor(self) -> float:
         """Smallest trustworthy scale: twice the widest level-W interval."""
+        return self._floor
+
+    @cached_property
+    def _floor(self) -> float:
         lefts, rights = self.solid_segments()
         return 2.0 * float(np.max(rights - lefts))
 

@@ -19,7 +19,7 @@ from gapdims import (
     make_sequence,
 )
 from gapdims import covering
-from gapdims.covering import _cover_counts
+from gapdims.covering import _cover_counts, _lockstep_counts
 
 MID = make_sequence("middle-third")
 
@@ -159,6 +159,79 @@ def test_kernel_edge_cases_match_oracle():
     point_windows = [(0.0, 1.0, 0.05), (0.0, 0.9, 0.5), (0.1, 0.2, 0.01)]
     assert batched_counts(pts, pts, point_windows) == \
         [_greedy_count(pts, pts, *w) for w in point_windows]
+
+
+@pytest.fixture
+def lockstep_batches(monkeypatch):
+    """The size of every lockstep batch that `_cover_counts` runs, in order."""
+    sizes = []
+
+    def spy(lefts, rights, lo, hi, width):
+        sizes.append(len(lo))
+        return _lockstep_counts(lefts, rights, lo, hi, width)
+
+    monkeypatch.setattr(covering, "_lockstep_counts", spy)
+    return sizes
+
+
+# r = 1/16, so 2r = 1/8: a point pair exactly 2r apart, a space one ulp
+# wider than 2r (inside the break margin), a wide space, a space 1e-9 wider
+# than 2r (a break), a point segment and spaces narrower than 2r
+CLUSTER_LEFTS = np.array([0.0, 0.125, np.nextafter(0.25, 1.0), 0.5, 0.6875 + 1e-9, 0.85, 0.9])
+CLUSTER_RIGHTS = np.array([0.0, 0.125, 0.3125, 0.5625, 0.75, 0.85, 1.0])
+
+
+def test_cluster_path_matches_oracles(lockstep_batches):
+    lefts, rights = CLUSTER_LEFTS, CLUSTER_RIGHTS
+    # window edges on endpoints, inside segments, inside spaces and outside the set
+    edges = sorted({*lefts.tolist(), *rights.tolist(), -0.1, 0.0625, 0.2, 0.28, 0.4, 0.53,
+                    0.6, 0.7, 0.8, 0.95, 1.1})
+    wide = [(lo, hi, r) for r in (1 / 16, 1 / 32) for lo in edges for hi in edges if lo <= hi]
+    narrow = [(0.5, 0.5625, 0.01)]
+    got = batched_counts(lefts, rights, wide + narrow)
+    want = [_greedy_count(lefts, rights, *win) for win in wide + narrow]
+    assert got == want
+    # one batch of full clusters per wide r (1/32 first: every space but the
+    # last is a break; 1/16: the 2r space and the one inside the margin are not),
+    # then one batch of the clipped ends, the one-cluster windows and the narrow window
+    assert lockstep_batches[:2] == [6, 3] and len(lockstep_batches) == 3
+    # the oracle's 1e-15 slack would join the points an ulp apart, so it checks r = 1/32
+    segs = list(zip(lefts, rights))
+    for (lo, hi, r), count in zip(wide, got):
+        if r == 1 / 32:
+            assert exhaustive_cover(segs, lo, hi, r, budget=count) == count
+    at = {win: count for win, count in zip(wide, got)}
+    assert at[0.0, 0.125, 1 / 16] == 1         # one ball reaches across a space of exactly 2r
+    assert at[0.0, 0.3125, 1 / 16] == 2        # a space an ulp wider than 2r needs a new ball
+    assert at[0.2, 0.28, 1 / 16] == 1          # starts and ends inside a space and a segment
+    assert at[0.4, 0.4, 1 / 16] == at[0.6, 0.6, 1 / 32] == 0   # empty windows
+    assert at[-0.1, 1.1, 1 / 16] == 2 + 1 + 3
+
+
+def test_dispatch_sends_wide_groups_to_clusters(lockstep_batches):
+    lefts, rights = CLUSTER_LEFTS, CLUSTER_RIGHTS
+    # together the windows of one r span no more segments than the set holds
+    narrow = [(0.0, 0.4, 1 / 16), (0.5, 1.0, 1 / 16), (0.0, 0.3, 1 / 32)]
+    assert batched_counts(lefts, rights, narrow) == \
+        [_greedy_count(lefts, rights, *win) for win in narrow]
+    assert lockstep_batches == [3]
+    # one more window of r = 1/16 tips that group over; r = 1/32 stays
+    lockstep_batches.clear()
+    wide = narrow + [(0.2, 0.9, 1 / 16)]
+    assert batched_counts(lefts, rights, wide) == \
+        [_greedy_count(lefts, rights, *win) for win in wide]
+    assert len(lockstep_batches) == 2
+    # on a random set: manifest-like wide windows take the cluster path
+    s = build_set(MID, 13, "random", seed=21)
+    lefts, rights = s.solid_segments()
+    d = depth_function(make_dimension_function("constant", 0.5), level_sums(MID, 30), 28,
+                       clip=True)
+    x, big_r, r = np.array([w[2:] for w in enumerate_windows(
+        s, d, WindowPolicy(n_values=(3,), k_min=1, k_max=4))]).T
+    lockstep_batches.clear()
+    got = _cover_counts(lefts, rights, x - big_r, x + big_r, r)
+    assert len(lockstep_batches) > 1
+    assert np.array_equal(got, _lockstep_counts(lefts, rights, x - big_r, x + big_r, 2.0 * r))
 
 
 @pytest.mark.parametrize("w,seed", [(12, 8), (13, 21), (14, 5)])

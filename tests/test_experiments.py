@@ -36,6 +36,7 @@ from gapdims.experiments import (
     check_thresholds,
     critical_load,
     length_constant,
+    policies_from_config,
     validate_manifest,
     validate_thresholds,
 )
@@ -694,3 +695,54 @@ def test_small_manifest_runs_through_library_and_cli(tmp_path, monkeypatch):
     report = json.loads((tmp_path / "r.json").read_text())
     assert report.pop("schema_version") == 1
     assert report == json.loads(json.dumps(outcome))
+
+
+def shared_manifest() -> dict:
+    """small_manifest's dichotomy entry, a max-load entry, a zero-Phi entry whose
+    windows (n = 2, k = 2) are the first entry's (n = 2, phi(2) = 1, k = 1) and a
+    zero-Phi entry on the default policies."""
+    m = small_manifest()
+    dich, ml = m["experiments"][:2]
+    shared = WindowPolicy(n_values=(2,), k_min=2, k_max=2, max_centers=16).to_config()
+    zero = {**dich, "name": "zero", "dimension_function": {"family": "zero"},
+            "policies": {str(d): [shared, shared] for d in (8, 11, 14)}}
+    default = {**dich, "name": "zero-default", "dimension_function": {"family": "zero"}}
+    del default["policies"]
+    m["experiments"] = [dich, ml, zero, default]
+    return m
+
+
+@pytest.mark.parametrize("workers", [1, 2, 4])
+def test_manifest_dichotomy_entries_equal_separate_runs(workers):
+    manifest = shared_manifest()
+    outcome = run_manifest(copy.deepcopy(manifest), workers=workers)
+    assert [r["name"] for r in outcome["results"]] == ["dich", "ml", "zero", "zero-default"]
+    for res, entry in zip(outcome["results"], manifest["experiments"]):
+        if res["kind"] != "dichotomy":
+            continue
+        policies = entry.get("policies")
+        alone = run_dichotomy_experiment(
+            MID, make_dimension_function(**entry["dimension_function"]), manifest["w"],
+            manifest["trials"], manifest["master_seed"],
+            None if policies is None else policies_from_config(policies, manifest["w"]),
+            workers=workers)
+        assert json.dumps(res["report"], sort_keys=True, separators=(",", ":")) == \
+            report_json(alone)
+
+
+@pytest.mark.parametrize("entries", [1, 2, 3])
+def test_manifest_builds_each_set_once_for_all_dichotomy_entries(entries, monkeypatch):
+    built = []
+    build_set = randmodel.build_set
+
+    def counting(*args, **kwargs):
+        built.append(args[1:3])
+        return build_set(*args, **kwargs)
+
+    monkeypatch.setattr(randmodel, "build_set", counting)
+    manifest = shared_manifest()
+    dichotomy = [e for e in manifest["experiments"] if e["kind"] == "dichotomy"]
+    manifest["experiments"] = dichotomy[:entries]
+    run_manifest(manifest, workers=2)
+    assert len(built) == 3 * (manifest["trials"] + 1)
+    assert len(set(built)) == 6        # (depth, arrangement): every set is built once

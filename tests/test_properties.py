@@ -16,6 +16,7 @@ from gapdims import (
     upper_phi_dim_formula,
 )
 from gapdims import dimfuncs
+from gapdims.covering import _cover_counts, _lockstep_counts
 
 from test_covering import _greedy_count
 
@@ -83,6 +84,30 @@ def test_greedy_count_monotone_in_radius(data):
     c1 = _greedy_count(lefts, rights, 0.0, 1.0, r1)
     c2 = _greedy_count(lefts, rights, 0.0, 1.0, r2)
     assert c2 >= c1
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_dispatched_counts_equal_lockstep(data):
+    # segments from sorted points (equal neighbours make point segments); some
+    # radii are half a space, so spaces of exactly 2r occur
+    n_seg = data.draw(st.integers(1, 8))
+    pts = np.sort(data.draw(st.lists(st.floats(0.0, 1.0), min_size=2 * n_seg,
+                                     max_size=2 * n_seg)))
+    lefts, rights = pts[0::2], pts[1::2]
+    halves = [h for h in ((lefts[1:] - rights[:-1]) / 2.0).tolist() if h >= 1e-3]
+    radii = st.floats(1e-3, 0.5)
+    if halves:
+        radii = st.one_of(st.sampled_from(halves), radii)
+    wins = data.draw(st.lists(st.tuples(st.floats(-0.2, 1.2), st.floats(-0.2, 1.2), radii),
+                              min_size=1, max_size=6))
+    lo, hi, r = (np.array(col) for col in zip(*wins))
+    want = _lockstep_counts(lefts, rights, lo, hi, 2.0 * r)
+    assert np.array_equal(_cover_counts(lefts, rights, lo, hi, r), want)
+    # repeated past the segment count, every r group takes the cluster path
+    reps = n_seg + 1
+    got = _cover_counts(lefts, rights, np.tile(lo, reps), np.tile(hi, reps), np.tile(r, reps))
+    assert np.array_equal(got, np.tile(want, reps))
 
 
 @given(seed=st.integers(0, 2 ** 40), w=st.integers(2, 10))
