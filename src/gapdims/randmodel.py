@@ -21,10 +21,10 @@ from functools import cached_property
 import numpy as np
 
 from . import rng
-from .errors import DepthUnsupportedError
+from .errors import DepthUnsupportedError, check_value
 from .sequences import GapSequence
 
-MAX_DEPTH = 26  # 2^26 gaps ~ 0.5 GiB of float64 scratch; refuse beyond
+MAX_DEPTH = 26  # a 2^26-label draw fills 0.5 GiB of float64, with no scratch copy; refuse beyond
 
 
 def check_depth(w: int, sequence: GapSequence | None = None) -> None:
@@ -167,18 +167,24 @@ def build_set(sequence: GapSequence, w: int, arrangement: str, seed: int | None 
 
 def slot_counts(seed: int, w: int, n: int, bounds: tuple[int, ...]) -> np.ndarray:
     """Row i: number of gaps with index in [b_0, b_(i+1)) per level-n
-    interval, for non-decreasing ``bounds`` b_0 <= b_1 <= ..., from one label draw.
+    interval, for bounds 1 <= b_0 <= b_1 <= ... <= 2^w, from one label draw.
 
     A deep gap's level-n interval is the rank of its label among the
-    shallow labels omega_j (j < 2^n), so no geometry is built; both sides
-    are sorted before ranking, each range [b_i, b_(i+1)) once.
+    shallow labels omega_j (j < 2^n), so no geometry is built.  The shallow
+    labels are sorted as a copy; each range [b_i, b_(i+1)) is a disjoint
+    slice of the draw and is sorted in place, once, before ranking.
     """
     check_depth(w)
+    check_value(n, "level n", 0, w)
+    check_value(len(bounds), "number of bounds", 2)
+    for i, b in enumerate(bounds):
+        check_value(b, f"bound b_{i}", bounds[i - 1] if i else 1, 2 ** w)
     omega = rng.uniforms(seed, 1, 2 ** w)
     shallow = np.sort(omega[: 2 ** n - 1])
     rows = []
     for lo, hi in zip(bounds, bounds[1:]):
-        deep = np.sort(omega[lo - 1 : hi - 1])
+        deep = omega[lo - 1 : hi - 1]
+        deep.sort()
         ranks = np.searchsorted(deep, shallow, side="right")
         rows.append(np.diff(ranks, prepend=0, append=deep.size))
     return np.cumsum(rows, axis=0)

@@ -7,6 +7,11 @@ and an integer counter, via the splitmix64 output function.  This gives
   * bit-for-bit reproducibility across platforms and across serial /
     parallel execution orders.
 
+A draw allocates its output once and fills it in blocks of 2^15 counters,
+each written, mixed, shifted and (for `uniforms`) converted in place while
+it sits in cache.  Every step is elementwise on one counter, so the block
+size decides only which words are computed together, never a value.
+
 Per-trial seeds are derived from a master seed with `derive_seed`, so
 trials can run concurrently without sharing generator state.
 """
@@ -19,6 +24,7 @@ _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 _MASK = 0xFFFFFFFFFFFFFFFF
+_BLOCK = 2 ** 15  # counters per block: 256 KiB of words, within L2 cache
 
 
 def _mixed_words(seed: int, z: np.ndarray) -> np.ndarray:
@@ -41,18 +47,31 @@ def derive_seed(master_seed: int, stream_id: int) -> int:
     return int(_mixed_words(master_seed, np.array([(stream_id + 1) & _MASK], dtype=np.uint64))[0])
 
 
+def _word_blocks(seed: int, start: int, words: np.ndarray):
+    """Fill the uint64 array ``words`` with the splitmix64 words of counters
+    start, start + 1, ... one block at a time, yielding each block as soon as
+    it is filled, so that the caller finishes it while it is still in cache."""
+    step = np.arange(min(_BLOCK, words.size), dtype=np.uint64)
+    for i in range(0, words.size, _BLOCK):
+        block = words[i : i + _BLOCK]
+        np.add(step[: block.size], np.uint64(start + i), out=block)
+        yield _mixed_words(seed, block)
+
+
 def uniforms(seed: int, start: int, stop: int) -> np.ndarray:
     """U[0,1) variates for counters start..stop-1 (53-bit mantissas)."""
-    z = _mixed_words(seed, np.arange(start, stop, dtype=np.uint64))
-    z >>= np.uint64(11)
-    u = z.view(np.float64)
-    np.copyto(u, z)   # elementwise, so the float64 view can overwrite its source
-    u *= 2.0 ** -53
+    u = np.empty(max(stop - start, 0))
+    for z in _word_blocks(seed, start, u.view(np.uint64)):
+        z >>= np.uint64(11)
+        f = z.view(np.float64)
+        np.copyto(f, z)   # elementwise, so the float64 view can overwrite its source
+        f *= 2.0 ** -53
     return u
 
 
 def bin_indices(seed: int, start: int, stop: int, n_bins_log2: int) -> np.ndarray:
     """Uniform bin labels in [0, 2^n_bins_log2) from the top output bits."""
-    z = _mixed_words(seed, np.arange(start, stop, dtype=np.uint64))
-    z >>= np.uint64(64 - n_bins_log2)
-    return z.view(np.int64)
+    idx = np.empty(max(stop - start, 0), dtype=np.int64)
+    for z in _word_blocks(seed, start, idx.view(np.uint64)):
+        z >>= np.uint64(64 - n_bins_log2)
+    return idx

@@ -1,12 +1,14 @@
 """Arrangement construction tests."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from gapdims import (
     DepthUnsupportedError,
+    InvalidRangeError,
     build_set,
     level_sums,
     make_sequence,
@@ -185,6 +187,41 @@ def test_slot_counts_nested_ranges_from_one_draw():
         slow = np.bincount(rank_slots(seed, w, n, np.arange(bounds[0], hi)), minlength=2 ** n)
         assert np.array_equal(row, slow)
     assert np.array_equal(rows[0], rows[1])    # an empty range adds nothing
+
+
+def test_slot_counts_sorts_the_deep_ranges_in_place():
+    # the draw is the only label-sized array: shallow labels and counts are small
+    tracemalloc.start()
+    try:
+        slot_counts(7, 18, 12, (2 ** 12, 2 ** 14, 2 ** 18))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.35 * (2 ** 18 - 1) * 8
+
+
+def test_slot_counts_rejects_a_bound_past_the_draw():
+    with pytest.raises(InvalidRangeError):
+        slot_counts(3, 10, 4, (16, 2 ** 12))
+
+
+def test_slot_counts_rejects_gap_index_zero():
+    with pytest.raises(InvalidRangeError):
+        slot_counts(3, 10, 4, (0, 2 ** 8))
+
+
+def test_slot_counts_rejects_decreasing_bounds():
+    with pytest.raises(InvalidRangeError):
+        slot_counts(3, 10, 4, (2 ** 8, 2 ** 6))
+    with pytest.raises(InvalidRangeError):
+        slot_counts(3, 10, 4, (16, 2 ** 8, 2 ** 7, 2 ** 9))
+
+
+def test_slot_counts_rejects_a_level_outside_the_draw():
+    with pytest.raises(InvalidRangeError):
+        slot_counts(3, 10, 11, (2 ** 4, 2 ** 10))
+    with pytest.raises(InvalidRangeError):
+        slot_counts(3, 10, -1, (2 ** 4, 2 ** 10))
 
 
 def test_gap_counts_in_level_intervals():

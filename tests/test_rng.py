@@ -1,5 +1,7 @@
 """Counter-based stream tests."""
 
+import tracemalloc
+
 import numpy as np
 
 from gapdims import rng
@@ -44,6 +46,32 @@ def test_uniforms_and_bin_indices_match_reference():
             idx = rng.bin_indices(seed, start, stop, bits)
             assert idx.dtype == np.int64
             assert idx.tolist() == [w >> (64 - bits) for w in words]
+
+
+def test_draws_across_block_boundaries_match_reference():
+    # unaligned starts and lengths around the block size give the same words
+    block = rng._BLOCK
+    for seed in (0, 99, rng.derive_seed(5, 2)):
+        ref = np.array([splitmix64(seed, c) for c in range(5 * block + 20)], dtype=np.uint64)
+        for start in (0, 1, block - 7, 2 * block + 3):
+            for length in (0, 1, block - 1, block, block + 1, 3 * block + 17):
+                words = ref[start : start + length]
+                u = rng.uniforms(seed, start, start + length)
+                assert np.array_equal(u, (words >> np.uint64(11)).astype(np.float64) * 2.0 ** -53)
+                for bits in (1, 20, 63):
+                    idx = rng.bin_indices(seed, start, start + length, bits)
+                    assert idx.dtype == np.int64
+                    assert np.array_equal(idx, (words >> np.uint64(64 - bits)).astype(np.int64))
+
+
+def test_uniforms_allocate_little_beyond_their_output():
+    tracemalloc.start()
+    try:
+        u = rng.uniforms(7, 0, 2 ** 20)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * u.nbytes
 
 
 def test_uniforms_match_reference_words():
