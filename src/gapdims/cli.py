@@ -139,13 +139,14 @@ def cmd_sample(args) -> int:
     _require(args, "seq", "w")
     a = parse_sequence(args.seq)
     s = build_set(a, args.w, args.arrangement, seed=args.seed)
+    gap_len = a.gap_lengths(s.order)
     write_csv(out_path("gaps", "csv", args), ["index", "left", "length"],
-              zip(s.order.tolist(), s.gap_left.tolist(), s.gap_len.tolist()))
+              zip(s.order.tolist(), s.rights[:-1].tolist(), gap_len.tolist()))
     write_json(out_path("", "json", args), {
         "config": {"seq": args.seq, "w": args.w, "arrangement": args.arrangement,
                    "seed": args.seed, "sequence": a.to_config()},
         "n_gaps": s.n_gaps,
-        "total_gap_mass": math.fsum(s.gap_len),
+        "total_gap_mass": math.fsum(gap_len),
         "tail_mass": a.tail_mass(args.w),
         "truncation_floor": s.truncation_floor(),
     })

@@ -295,10 +295,11 @@ def estimate_dimension(s: ApproxSet, direction: str, f: DimensionFunction,
     it was built from.  "upper" takes the max exponent over windows,
     "lower" the min; empty windows (count 0) are skipped — centers lie in
     the set, so they only arise from subsampled neighbors.  Windows not
-    yet counted on ``s`` are counted in one lockstep sweep and remembered
-    by the set, since a count depends only on its segments, x +- R and r;
-    the reduction is a deterministic extremum with a lexicographic
-    tie-break on the window.
+    yet counted on ``s`` go to one call of the cover kernel, which counts
+    each radius group by the lockstep sweep or by 2r-clusters, and are
+    remembered by the set, since a count depends only on its segments,
+    x +- R and r; the reduction is a deterministic extremum with a
+    lexicographic tie-break on the window.
     """
     if direction not in ("upper", "lower"):
         raise InvalidRangeError(f"direction must be upper or lower, got {direction!r}")
@@ -308,7 +309,7 @@ def estimate_dimension(s: ApproxSet, direction: str, f: DimensionFunction,
     memo = s._count_cache
     new = list(dict.fromkeys(win[2:] for win in windows if win[2:] not in memo))
     x, big_r, r = np.array(new).reshape(-1, 3).T
-    memo.update(zip(new, _cover_counts(*s.solid_segments(), x - big_r, x + big_r, r).tolist()))
+    memo.update(zip(new, _cover_counts(s.lefts, s.rights, x - big_r, x + big_r, r).tolist()))
     records = [CoverQuery(n=n, k=k, center_x=cx, radius_R=cR, scale_r=cr, count_N=c)
                for n, k, cx, cR, cr in windows if (c := memo[cx, cR, cr]) >= 1]
     if not records:

@@ -494,23 +494,23 @@ def check_thresholds(rules: dict, summaries: list[dict], targets: dict) -> list[
     return checks
 
 
-# kind -> (run(sequence, manifest, parsed entry, workers) -> report record, or None for
-# dichotomy, whose entries `run_manifest` runs together; the guard the run also calls (same
-# arguments, no workers); required entry keys; other allowed keys; label of the
+# kind -> (run(sequence, manifest, parsed entry) -> report record, or None for dichotomy,
+# whose entries `run_manifest` runs together in one task map of `workers` threads; the guard
+# the run also calls (same arguments); required entry keys; other allowed keys; label of the
 # frequency >= min_frequency check or None for threshold rules).  Lambdas look their
 # experiment up when called, so a rebound module function (a tracer's wrapper) is the one run.
 MANIFEST_KINDS = {
     "dichotomy": (None, lambda a, m, e: _dichotomy_profile(a),
                   ("dimension_function", "thresholds"), ("policies",), None),
-    "max_load": (lambda a, m, e, workers: max_load_statistic(
+    "max_load": (lambda a, m, e: max_load_statistic(
                      a, e["w"], e["n"], e["phi_n"], m["trials"], m["master_seed"]),
                  lambda a, m, e: _check_max_load(e["w"], e["n"], e["phi_n"]),
                  ("w", "n", "phi_n", "min_frequency"), (), "freq(M_n > K_n)"),
-    "empty_bin": (lambda a, m, e, workers: empty_bin_probability(
+    "empty_bin": (lambda a, m, e: empty_bin_probability(
                       e["n_bins_log2"], e["balls"], m["trials"], m["master_seed"]),
                   lambda a, m, e: _check_empty_bin(e["n_bins_log2"], e["balls"]),
                   ("n_bins_log2", "balls", "min_frequency"), (), "empty-bin frequency"),
-    "interval_length": (lambda a, m, e, workers: interval_length_lemma_check(
+    "interval_length": (lambda a, m, e: interval_length_lemma_check(
                             a, e["w"], e["n"], m["trials"], m["master_seed"]),
                         lambda a, m, e: _interval_profile(a, e["w"], e["n"]),
                         ("w", "n", "min_frequency"), (), "within-bound frequency"),
@@ -571,7 +571,7 @@ def run_manifest(manifest: dict, workers: int = 1) -> dict:
             record = next(reports).to_record()
             checks = check_thresholds(entry["thresholds"], record["depths"], record["targets"])
         else:
-            record = run(a, manifest, entry, workers)
+            record = run(a, manifest, entry)
             freq, least = record["frequency"], entry["min_frequency"]
             checks = [{"check": f"{label} >= {least}", "value": freq, "pass": freq >= least}]
         results.append({"name": name, "kind": kind, "report": record, "checks": checks,

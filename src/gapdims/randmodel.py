@@ -21,10 +21,12 @@ from functools import cached_property
 import numpy as np
 
 from . import rng
-from .errors import DepthUnsupportedError, check_value
+from .errors import DepthUnsupportedError, InvalidRangeError, check_value
 from .sequences import GapSequence
 
-MAX_DEPTH = 26  # a 2^26-label draw fills 0.5 GiB of float64, with no scratch copy; refuse beyond
+# A set holds 32 bytes per gap and build_set peaks at 40 (641 MiB at W=24, ru_maxrss), so a
+# W=26 set needs 2 GiB held and about 2.5 GiB to build; refuse beyond.
+MAX_DEPTH = 26
 
 
 def check_depth(w: int, sequence: GapSequence | None = None) -> None:
@@ -52,14 +54,15 @@ def _cantor_positions(w: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ApproxSet:
-    """Depth-W approximation of a complementary set under one arrangement."""
+    """Depth-W approximation of a complementary set under one arrangement:
+    its 2^W level-W intervals, stored once.  Gap ``order[p]`` lies between
+    ``rights[p]`` and ``lefts[p + 1]``; every coarser level is read from them."""
 
     w: int
     order: np.ndarray                # order[p] = gap index at position p
-    gap_left: np.ndarray             # left endpoint of gap order[p]
-    gap_len: np.ndarray              # length of gap order[p]
+    lefts: np.ndarray                # left endpoint of level-W interval p
+    rights: np.ndarray               # right endpoint of level-W interval p
     slot_mass: np.ndarray            # length of slot p
-    _interval_cache: dict = field(default_factory=dict, repr=False, compare=False)
     # window centers picked at each (level n, max_centers)
     _center_cache: dict = field(default_factory=dict, repr=False, compare=False)
     # exact cover count of each window (x, R, r) resolved on this set
@@ -72,24 +75,17 @@ class ApproxSet:
     def level_intervals(self, n: int) -> tuple[np.ndarray, np.ndarray]:
         """The 2^n closed components of [0,1] minus the gaps of index < 2^n.
 
-        Returns (lefts, rights), sorted left to right.  Degenerate
-        intervals (zero length) are legitimate and kept.
+        Returns (lefts, rights), sorted left to right; at n = W the stored
+        arrays themselves.  Degenerate intervals (zero length) are
+        legitimate and kept.
         """
         if not 0 <= n <= self.w:
             raise DepthUnsupportedError(f"level {n} outside [0, {self.w}]")
-        if n in self._interval_cache:
-            return self._interval_cache[n]
-        shallow = self.order < 2 ** n
-        lefts_g = self.gap_left[shallow]       # already left-to-right
-        lens_g = self.gap_len[shallow]
-        lefts = np.concatenate([[0.0], lefts_g + lens_g])
-        rights = np.concatenate([lefts_g, [1.0]])
-        self._interval_cache[n] = (lefts, rights)
-        return lefts, rights
-
-    def solid_segments(self) -> tuple[np.ndarray, np.ndarray]:
-        """Level-W intervals: the finest closed cover available at this depth."""
-        return self.level_intervals(self.w)
+        if n == self.w:
+            return self.lefts, self.rights
+        at = np.flatnonzero(self.order < 2 ** n)   # positions of the shallow gaps
+        return (self.lefts[np.concatenate([[0], at + 1])],
+                self.rights[np.concatenate([at, [self.n_gaps]])])
 
     def truncation_floor(self) -> float:
         """Smallest trustworthy scale: twice the widest level-W interval."""
@@ -97,8 +93,7 @@ class ApproxSet:
 
     @cached_property
     def _floor(self) -> float:
-        lefts, rights = self.solid_segments()
-        return 2.0 * float(np.max(rights - lefts))
+        return 2.0 * float(np.max(self.rights - self.lefts))
 
 
 def _stable_order(omega: np.ndarray, w: int) -> np.ndarray:
@@ -120,15 +115,6 @@ def _stable_order(omega: np.ndarray, w: int) -> np.ndarray:
     return order
 
 
-def _assemble(sequence: GapSequence, w: int, order: np.ndarray,
-              slot_mass: np.ndarray) -> ApproxSet:
-    gap_len = sequence.gap_lengths(order)
-    # slot p | gap p | slot p+1 | gap p+1 | ... ; endpoints by prefix sums
-    gap_left = np.cumsum(slot_mass[:-1]) + np.concatenate([[0.0], np.cumsum(gap_len[:-1])])
-    return ApproxSet(w=w, order=order, gap_left=gap_left, gap_len=gap_len,
-                     slot_mass=slot_mass)
-
-
 def build_set(sequence: GapSequence, w: int, arrangement: str, seed: int | None = None) -> ApproxSet:
     """Construct the depth-W approximation for one arrangement.
 
@@ -145,12 +131,13 @@ def build_set(sequence: GapSequence, w: int, arrangement: str, seed: int | None 
 
     if arrangement == "random":
         if seed is None:
-            raise ValueError("random arrangement requires a seed")
+            raise InvalidRangeError("random arrangement requires a seed")
         omega = rng.uniforms(seed, 1, 2 ** w)
-        perm = _stable_order(omega, w)
-        order = perm + 1
-        spacings = np.diff(np.concatenate([[0.0], omega[perm], [1.0]]))
+        order = _stable_order(omega, w)
+        spacings = np.diff(np.concatenate([[0.0], omega[order], [1.0]]))
+        order += 1
         slot_mass = tail * spacings / spacings.sum()
+        del omega, spacings          # free the draw before the geometry is laid out
     elif arrangement == "cantor":
         pos = _cantor_positions(w)
         order = np.empty(m, dtype=np.int64)
@@ -161,8 +148,17 @@ def build_set(sequence: GapSequence, w: int, arrangement: str, seed: int | None 
         slot_mass = np.zeros(m + 1)
         slot_mass[0] = tail
     else:
-        raise ValueError(f"unknown arrangement {arrangement!r}")
-    return _assemble(sequence, w, order, slot_mass)
+        raise InvalidRangeError(f"unknown arrangement {arrangement!r}")
+    gap_len = sequence.gap_lengths(order)
+    # slot p | gap p | slot p+1 | gap p+1 | ... ; endpoints by prefix sums, in place
+    rights = np.empty(m + 1)
+    np.cumsum(slot_mass[:-1], out=rights[:-1])
+    rights[1:-1] += np.cumsum(gap_len[:-1])
+    rights[-1] = 1.0
+    lefts = np.empty(m + 1)
+    lefts[0] = 0.0
+    np.add(rights[:-1], gap_len, out=lefts[1:])
+    return ApproxSet(w=w, order=order, lefts=lefts, rights=rights, slot_mass=slot_mass)
 
 
 def slot_counts(seed: int, w: int, n: int, bounds: tuple[int, ...]) -> np.ndarray:

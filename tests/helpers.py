@@ -29,11 +29,6 @@ def position_of(s) -> np.ndarray:
     return pos
 
 
-def slot_left(s) -> np.ndarray:
-    """Left endpoint of slot p, p = 0..2^W-1: 0, then the right end of each gap."""
-    return np.concatenate([[0.0], s.gap_left + s.gap_len])
-
-
 def eval_phi(f, x: float) -> float:
     """Phi(x) for a single point, with domain checking."""
     return float(f(x))
@@ -55,6 +50,6 @@ def gap_counts_in_level_intervals(s, n: int, level: int) -> np.ndarray:
     assert n < level <= s.w
     lefts, _ = s.level_intervals(n)
     at_level = (s.order >= 2 ** (level - 1)) & (s.order < 2 ** level)
-    mids = s.gap_left[at_level] + 0.5 * s.gap_len[at_level]
+    mids = 0.5 * (s.rights[:-1] + s.lefts[1:])[at_level]   # gap p: rights[p] .. lefts[p + 1]
     slot = np.searchsorted(lefts, mids, side="right") - 1
     return np.bincount(slot, minlength=2 ** n)

@@ -191,6 +191,12 @@ def test_missing_required_flag(outdir, capsys):
     assert "missing required option" in capsys.readouterr().err
 
 
+def test_random_sample_without_seed_exits_2(outdir, capsys):
+    assert main(["sample", "--seq", "middle-third", "--w", "8", "--arrangement", "random",
+                 "--out", "x"]) == 2
+    assert "requires a seed" in capsys.readouterr().err
+
+
 def test_estimate_has_no_workers_flag(outdir, capsys):
     with pytest.raises(SystemExit):
         main(["estimate", "--seq", "middle-third", "--w", "10", "--workers", "2"])

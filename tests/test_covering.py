@@ -223,7 +223,7 @@ def test_dispatch_sends_wide_groups_to_clusters(lockstep_batches):
     assert len(lockstep_batches) == 2
     # on a random set: manifest-like wide windows take the cluster path
     s = build_set(MID, 13, "random", seed=21)
-    lefts, rights = s.solid_segments()
+    lefts, rights = s.lefts, s.rights
     d = depth_function(make_dimension_function("constant", 0.5), level_sums(MID, 30), 28,
                        clip=True)
     x, big_r, r = np.array([w[2:] for w in enumerate_windows(
@@ -238,7 +238,7 @@ def test_dispatch_sends_wide_groups_to_clusters(lockstep_batches):
 def test_kernel_equals_serial_greedy_on_policies(w, seed):
     s = build_set(MID, w, "random", seed=seed)
     p = level_sums(MID, 30)
-    lefts, rights = s.solid_segments()
+    lefts, rights = s.lefts, s.rights
     cases = [
         ("zero", None, WindowPolicy(n_values=(3, 5), k_min=1, k_max=3)),
         ("zero", None, WindowPolicy(n_spread=True, auto_n_count=4, max_centers=256)),
@@ -263,7 +263,7 @@ def test_cover_count_cantor_powers():
     # classic: N_{s_{n+j}}(B(0, s_n) cap C) = 2^j for the ternary set
     s = build_set(MID, 14, "cantor")
     p = level_sums(MID, 16)
-    lefts, rights = s.solid_segments()
+    lefts, rights = s.lefts, s.rights
     shrink = 1.0 - 1e-9
     for n in (2, 4):
         for j in (1, 2, 3):
@@ -271,7 +271,7 @@ def test_cover_count_cantor_powers():
             got = batched_counts(lefts, rights, [(-big_r, big_r, p.s[n + j])])[0]
             assert got == 2 ** j, (n, j, got)
     # a window reaching past [0, 1] on both sides counts the whole random set
-    lefts, rights = build_set(MID, 8, "random", seed=1).solid_segments()
+    lefts, rights = build_set(MID, 8, "random", seed=1).level_intervals(8)
     assert batched_counts(lefts, rights, [(-1.0, 2.0, 0.1)]) == \
         [_greedy_count(lefts, rights, -1.0, 2.0, 0.1)] == [5]
 

@@ -1,6 +1,11 @@
-"""The benchmark harness reads `ExperimentReport.summaries`, the dict
-reports' `trials_detail` and `experiment --workers`; running its
-self-test here makes a change to any of them fail the test suite."""
+"""What the benchmark harness reads of the package: `cli.main` running
+`experiment --workers` and the report's per-trial betas; `build_set`,
+`estimate_dimension` (`beta_hat` and each record's `center_x`, `radius_R`
+and `count_N`) and the three rank-space experiments (`frequency`, `config`
+and `trials_detail`); and, in its traced pass, rebound module functions,
+`ApproxSet.w`, `ApproxSet.level_intervals(w)` and `.slot_mass`.  No workload
+reaches `ExperimentReport.summaries`.  Running its self-test here makes a
+change to any of them fail the test suite."""
 
 import os
 import subprocess

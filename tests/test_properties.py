@@ -36,9 +36,9 @@ def test_level_sums_telescope(r, n):
 def test_arrangement_mass_conserved(r_list, w, seed):
     a = make_sequence("central", ratios=r_list, schedule="periodic")
     s = build_set(a, w, "random", seed=seed)
-    total = math.fsum(s.gap_len.tolist()) + math.fsum(s.slot_mass.tolist())
+    total = math.fsum(a.gap_lengths(s.order).tolist()) + math.fsum(s.slot_mass.tolist())
     assert abs(total - 1.0) < 1e-11
-    assert np.all(np.diff(np.concatenate([s.gap_left, [2.0]])) > 0)
+    assert np.all(np.diff(np.concatenate([s.rights[:-1], [2.0]])) > 0)
     assert np.all(s.slot_mass >= 0)
 
 
@@ -116,5 +116,4 @@ def test_truncation_floor_positive_and_below_one(seed, w):
     s = build_set(make_sequence("middle-third"), w, "random", seed=seed)
     floor = s.truncation_floor()
     assert 0.0 < floor < 2.0
-    lefts, rights = s.solid_segments()
-    assert np.all(rights - lefts <= floor / 2.0 + 1e-15)
+    assert np.all(s.rights - s.lefts <= floor / 2.0 + 1e-15)

@@ -1,5 +1,6 @@
 """The public API is pinned here, so that any change to it shows in a diff."""
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -17,10 +18,18 @@ PUBLIC = [
     "upper_phi_dim_formula",
 ]
 
+# what a set stores: its level-W intervals once, the order and slot masses, two memos
+APPROX_SET_FIELDS = ["w", "order", "lefts", "rights", "slot_mass", "_center_cache",
+                     "_count_cache"]
+
 
 def test_public_names_are_pinned():
     assert sorted(gapdims.__all__) == PUBLIC
     assert all(hasattr(gapdims, name) for name in PUBLIC)
+
+
+def test_set_fields_are_pinned():
+    assert [f.name for f in dataclasses.fields(gapdims.ApproxSet)] == APPROX_SET_FIELDS
 
 
 def test_import_does_not_load_scipy():

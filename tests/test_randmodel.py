@@ -21,7 +21,6 @@ from helpers import (
     omega_labels,
     position_of,
     rank_slots,
-    slot_left,
 )
 
 MID = make_sequence("middle-third")
@@ -81,12 +80,12 @@ def test_stable_order_on_a_real_draw_with_ties():
 def test_mass_invariants_all_arrangements():
     for arrangement, seed in (("random", 5), ("cantor", None), ("decreasing", None)):
         s = build_set(MID, 8, arrangement, seed=seed)
-        total = math.fsum(s.gap_len.tolist()) + math.fsum(s.slot_mass.tolist())
+        total = math.fsum(MID.gap_lengths(s.order).tolist()) + math.fsum(s.slot_mass.tolist())
         assert total == pytest.approx(1.0, abs=1e-12)
         assert np.all(s.slot_mass >= 0)
-        assert np.all(np.diff(s.gap_left) > 0)
+        assert np.all(np.diff(s.rights[:-1]) > 0)
         # geometry is consistent: slot p | gap p | slot p+1 ...
-        assert np.allclose(slot_left(s)[:-1] + s.slot_mass[:-1], s.gap_left)
+        assert np.allclose(s.lefts + s.slot_mass, s.rights)
 
 
 def test_cantor_arrangement_is_ternary():
@@ -121,7 +120,7 @@ def test_decreasing_points_are_tail_sums():
     tail = MID.tail_mass(w)
     # rightmost interval right end = 1; its left end = 1 - a_1 boundary; the
     # k-th gap from the right is a_k, so right endpoints are 1 - sum_{j<k} a_j
-    lefts, rights = s.solid_segments()
+    lefts, rights = s.level_intervals(w)
     expect_rights = 1.0 - np.concatenate([[0.0], np.cumsum(gaps)])[:-1]
     assert np.allclose(np.sort(rights)[::-1][: 2 ** w - 1], expect_rights[: 2 ** w - 1], atol=1e-12)
     # leftmost interval holds all unplaced mass
@@ -139,6 +138,46 @@ def test_level_intervals_nest():
     assert len(s.level_intervals(9)[0]) == 2 ** 9
 
 
+def test_level_intervals_read_from_the_stored_intervals():
+    # the old gap-endpoint formulas: gap p spans [gap_left[p], gap_left[p] + a_order[p]]
+    w = 7
+    for arrangement, seed in (("random", 5), ("cantor", None), ("decreasing", None)):
+        s = build_set(MID, w, arrangement, seed=seed)
+        gap_len = MID.gap_lengths(s.order)
+        gap_left = np.cumsum(s.slot_mass[:-1]) + np.concatenate([[0.0], np.cumsum(gap_len[:-1])])
+        assert np.array_equal(s.rights[:-1], gap_left)
+        for n in range(w + 1):
+            sh = s.order < 2 ** n
+            lefts, rights = s.level_intervals(n)
+            assert np.array_equal(lefts, np.concatenate(
+                [[0.0], s.rights[:-1][sh] + MID.gap_lengths(s.order[sh])]))
+            assert np.array_equal(rights, np.concatenate([s.rights[:-1][sh], [1.0]]))
+
+
+def test_build_set_peak_memory_per_gap():
+    # the draw and its spacings are freed before the intervals are laid out in place
+    w = 16
+    build_set(MID, w, "random", seed=1)   # the sequence's level tables, outside the trace
+    tracemalloc.start()
+    try:
+        build_set(MID, w, "random", seed=5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 44 * (2 ** w - 1)
+
+
+def test_a_set_holds_its_geometry_once():
+    # order, lefts, rights and slot_mass: 32 bytes per gap, also once level W is in use
+    s = build_set(MID, 16, "random", seed=5)
+    s.truncation_floor()
+    lefts, rights = s.level_intervals(16)
+    assert np.shares_memory(lefts, s.lefts) and np.shares_memory(rights, s.rights)
+    held = sum((v if v.base is None else v.base).nbytes
+               for v in vars(s).values() if isinstance(v, np.ndarray))
+    assert held <= 33 * s.n_gaps
+
+
 def test_explicit_sequence_builds_the_rule_based_set():
     # the first 2^K - 1 middle-third gaps, then 2^K gaps of 3^-K carrying the tail (2/3)^K
     k = 10
@@ -150,7 +189,7 @@ def test_explicit_sequence_builds_the_rule_based_set():
             s = build_set(explicit, w, arrangement, seed=seed)
             want = build_set(MID, w, arrangement, seed=seed)
             assert np.array_equal(s.order, want.order)
-            for name in ("gap_len", "gap_left", "slot_mass"):
+            for name in ("lefts", "rights", "slot_mass"):
                 assert np.allclose(getattr(s, name), getattr(want, name), rtol=0, atol=1e-12)
             assert [x.tolist() for x in s.level_intervals(0)] == [[0.0], [1.0]]
 
@@ -163,7 +202,7 @@ def test_rank_slots_equals_geometry():
     shortcut = rank_slots(seed, w, n, deep)
     lefts, _ = s.level_intervals(n)
     pos = position_of(s)
-    mids = s.gap_left[pos[deep - 1]] + 0.5 * s.gap_len[pos[deep - 1]]
+    mids = 0.5 * (s.rights[:-1] + s.lefts[1:])[pos[deep - 1]]
     geometric = np.searchsorted(lefts, mids, side="right") - 1
     assert np.array_equal(shortcut, geometric)
 
@@ -254,8 +293,10 @@ def test_depth_and_seed_validation():
         build_set(MID, 0, "cantor")
     with pytest.raises(DepthUnsupportedError):
         build_set(MID, 27, "cantor")
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidRangeError):
         build_set(MID, 5, "random")   # missing seed
+    with pytest.raises(InvalidRangeError):
+        build_set(MID, 5, "spiral")
     with pytest.raises(DepthUnsupportedError):
         build_set(make_sequence("explicit", gaps=[0.5, 0.3, 0.2]), 3, "cantor")
 
