@@ -33,7 +33,6 @@ from .covering import (
     estimate_dimension,
 )
 from .experiments import (
-    ExperimentReport,
     binomial_tail_check,
     empty_bin_probability,
     interval_length_lemma_check,
@@ -62,7 +61,6 @@ __all__ = [
     "LevelProfile",
     "CoverQuery",
     "DimensionEstimate",
-    "ExperimentReport",
     "WindowPolicy",
     "binomial_tail_check",
     "box_dim_estimate",

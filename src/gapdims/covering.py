@@ -22,7 +22,6 @@ set at the scales in play.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass, fields
 
@@ -30,8 +29,7 @@ import numpy as np
 
 from . import rng
 from .dimfuncs import DepthTable, DimensionFunction
-from .errors import (GapdimsError, InvalidRangeError, NoAdmissibleWindowError,
-                     check_keys, check_value)
+from .errors import InvalidRangeError, NoAdmissibleWindowError, check_keys, check_value
 from .randmodel import ApproxSet
 from .sequences import LevelProfile
 
@@ -148,11 +146,6 @@ class CoverQuery:
 # inflate small counts.
 RADIUS_SHRINK = 1e-9
 
-# Removed policy options, each still accepted at the value that left the
-# windows unchanged, so manifests written with them load as before.
-_RETIRED_KEYS = {"k_auto": False, "margin_radius": False, "span_levels_max": None,
-                 "center_seed": 0, "radius_shrink": RADIUS_SHRINK}
-
 
 @dataclass(frozen=True)
 class WindowPolicy:
@@ -193,13 +186,7 @@ class WindowPolicy:
     @staticmethod
     def from_config(cfg: dict) -> "WindowPolicy":
         cfg = dict(check_keys(cfg, "window policy",
-                              optional=[*(f.name for f in fields(WindowPolicy)),
-                                        *_RETIRED_KEYS]))
-        for key, value in _RETIRED_KEYS.items():
-            got = cfg.pop(key, value)
-            if type(got) is not type(value) or got != value:
-                raise GapdimsError(f"window policy key {key!r} is removed and accepts "
-                                   f"only {json.dumps(value)}, got {got!r}")
+                              optional=[f.name for f in fields(WindowPolicy)]))
         if isinstance(cfg.get("n_values"), list):
             cfg["n_values"] = tuple(cfg["n_values"])
         return WindowPolicy(**cfg)

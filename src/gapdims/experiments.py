@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
 from numbers import Real
 
 import numpy as np
@@ -65,31 +64,6 @@ LADDER_W = (7, randmodel.MAX_DEPTH)   # W-6, W-3 and W must all be depths build_
 TARGETS = ("formula_upper", "formula_lower", "box", "small_regime_upper", "small_regime_lower")
 
 
-@dataclass(frozen=True)
-class DepthSummary:
-    depth: int
-    median_up: float
-    median_low: float
-    quartiles_up: list[float]    # [q1, q3]
-    quartiles_low: list[float]
-    cantor_up: float
-    cantor_low: float
-    sandwich_violations: int     # trials with beta_low > box or beta_up < box (0.05 slack)
-    trials: list[dict] = field(repr=False)   # trial_id, seed, beta_up, beta_low
-
-
-@dataclass(frozen=True)
-class ExperimentReport:
-    config: dict
-    master_seed: int
-    summaries: tuple[DepthSummary, ...]
-    targets: dict
-
-    def to_record(self) -> dict:
-        return _report("dichotomy", self.config, self.master_seed, targets=self.targets,
-                       depths=[asdict(s) for s in self.summaries])
-
-
 def _comparable_profile(a: GapSequence, levels: int, claim: str) -> LevelProfile:
     p = level_sums(a, levels)
     if not p.level_comparable:
@@ -134,7 +108,7 @@ def run_dichotomy_experiment(
     master_seed: int,
     policies: dict[int, tuple[WindowPolicy, WindowPolicy]] | None = None,
     workers: int = 1,
-) -> ExperimentReport:
+) -> dict:
     """Estimate both dimensions of random arrangements along depths W-6, W-3, W.
 
     ``policies`` maps each ladder depth to its (upper, lower) window
@@ -142,13 +116,15 @@ def run_dichotomy_experiment(
     Depths share per-trial seeds, so a deeper set is the refinement of
     its shallower counterpart.  The cantor arrangement runs once per
     depth as the deterministic control.  One pool of ``workers`` threads
-    runs every task and returns the results in submission order.
+    runs every task and returns the results in submission order.  The
+    report holds the shared header, the ``targets`` and one summary per
+    depth, with its trials, under ``depths``.
     """
     return _dichotomy_reports(a, [(f, policies)], w, trials, master_seed, workers)[0]
 
 
 def _dichotomy_reports(a: GapSequence, entries: list, w: int, trials: int, master_seed: int,
-                       workers: int) -> list[ExperimentReport]:
+                       workers: int) -> list[dict]:
     """One report per (f, policies or None) entry, all from one task map:
     each task builds one (depth, trial) set, or one depth's cantor control,
     and runs every entry's policies on it."""
@@ -175,17 +151,17 @@ def _dichotomy_reports(a: GapSequence, entries: list, w: int, trials: int, maste
         for i, depth in enumerate(depths):
             *rows, (c_up, c_lo) = (b[e] for b in betas[i * (trials + 1):(i + 1) * (trials + 1)])
             ups, los = np.array(rows).T
-            bad = int(np.sum((los > box + 0.05) | (ups < box - 0.05)))
-            summaries.append(DepthSummary(
-                depth=depth,
-                median_up=float(np.median(ups)), median_low=float(np.median(los)),
-                quartiles_up=[float(np.quantile(ups, 0.25)), float(np.quantile(ups, 0.75))],
-                quartiles_low=[float(np.quantile(los, 0.25)), float(np.quantile(los, 0.75))],
-                cantor_up=c_up, cantor_low=c_lo,
-                sandwich_violations=bad,
-                trials=[{"trial_id": t, "seed": seed, "beta_up": up, "beta_low": lo}
-                        for t, (seed, (up, lo)) in enumerate(zip(seeds, rows))],
-            ))
+            summaries.append({
+                "depth": depth,
+                "median_up": float(np.median(ups)), "median_low": float(np.median(los)),
+                "quartiles_up": [float(np.quantile(ups, 0.25)), float(np.quantile(ups, 0.75))],
+                "quartiles_low": [float(np.quantile(los, 0.25)), float(np.quantile(los, 0.75))],
+                "cantor_up": c_up, "cantor_low": c_lo,
+                # trials with beta_low > box or beta_up < box (0.05 slack)
+                "sandwich_violations": int(np.sum((los > box + 0.05) | (ups < box - 0.05))),
+                "trials": [{"trial_id": t, "seed": seed, "beta_up": up, "beta_low": lo}
+                           for t, (seed, (up, lo)) in enumerate(zip(seeds, rows))],
+            })
         targets = dict(zip(TARGETS, (upper_phi_dim_formula(d, n_formula).beta_limit,
                                      lower_phi_dim_formula(d, n_formula).beta_limit,
                                      box, 1.0, 0.0)))
@@ -198,8 +174,8 @@ def _dichotomy_reports(a: GapSequence, entries: list, w: int, trials: int, maste
             "policies": {str(depth): [up.to_config(), lo.to_config()]
                          for depth, (up, lo) in policies.items()},
         }
-        reports.append(ExperimentReport(config=config, master_seed=master_seed,
-                                        summaries=tuple(summaries), targets=targets))
+        reports.append(_report("dichotomy", config, master_seed, targets=targets,
+                               depths=summaries))
     return reports
 
 
@@ -441,7 +417,10 @@ def validate_thresholds(rules: dict) -> dict:
     """``rules`` with null values dropped (null means absent); raises
     GapdimsError unless they are well formed and define a check."""
     check_keys(rules, "thresholds", optional=(*SIDES, "sandwich"))
-    out = {"sandwich": bool(rules.get("sandwich"))}
+    sandwich = rules.get("sandwich")
+    if not isinstance(sandwich, (bool, type(None))):
+        raise GapdimsError(f"sandwich must be true, false or null, got {sandwich!r}")
+    out = {"sandwich": bool(sandwich)}
     for side in SIDES:
         if rules.get(side) is None:
             continue
@@ -453,8 +432,11 @@ def validate_thresholds(rules: dict) -> dict:
         if target is None and ((drift is not None and DRIFTS[drift][1])
                                or "final_distance_max" in rule):
             raise GapdimsError(f"{side} rule measures distance but has no target")
-        if target not in (None, *TARGETS) and not isinstance(target, (int, float)):
-            raise GapdimsError(f"unknown {side} target {target!r}; expected a number or {TARGETS}")
+        if target not in (None, *TARGETS):
+            if not isinstance(target, Real):
+                raise GapdimsError(
+                    f"unknown {side} target {target!r}; expected a number or {TARGETS}")
+            check_value(target, f"{side} target", kind=Real)   # never a bool or NaN
         if not set(rule) - {"target"}:
             raise GapdimsError(f"{side} rule defines no check")
         for key in FINAL_RULES:
@@ -522,6 +504,8 @@ def validate_manifest(manifest: dict) -> tuple[GapSequence, list[tuple[str, str,
     experiment; raises GapdimsError on any malformed or refused value."""
     check_keys(manifest, "manifest", ("sequence", "trials", "master_seed", "experiments"),
                ("w", "name", "schema_version"))
+    check_value(manifest.get("schema_version", SCHEMA_VERSION), "schema_version",
+                SCHEMA_VERSION, SCHEMA_VERSION)
     _check_trials(manifest["trials"], manifest["master_seed"])
     if "w" in manifest:
         check_value(manifest["w"], "w", *LADDER_W)
@@ -568,7 +552,7 @@ def run_manifest(manifest: dict, workers: int = 1) -> dict:
     for name, kind, entry in plan:
         run, _, _, _, label = MANIFEST_KINDS[kind]
         if label is None:
-            record = next(reports).to_record()
+            record = next(reports)
             checks = check_thresholds(entry["thresholds"], record["depths"], record["targets"])
         else:
             record = run(a, manifest, entry)

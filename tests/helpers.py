@@ -12,9 +12,9 @@ import numpy as np
 from gapdims import rng
 
 
-def report_json(report) -> str:
-    """A dichotomy report's bytes as the CLI writes them (sorted, compact)."""
-    return json.dumps(report.to_record(), sort_keys=True, separators=(",", ":"))
+def report_json(report: dict) -> str:
+    """A report's bytes as the CLI writes them (sorted, compact)."""
+    return json.dumps(report, sort_keys=True, separators=(",", ":"))
 
 
 def omega_labels(seed: int, w: int) -> np.ndarray:

@@ -1,5 +1,6 @@
 """Covering-count and window-sweep tests."""
 
+import json
 import math
 
 import numpy as np
@@ -19,6 +20,7 @@ from gapdims import (
     make_sequence,
 )
 from gapdims import covering
+from gapdims.cli import main
 from gapdims.covering import _cover_counts, _lockstep_counts
 
 MID = make_sequence("middle-third")
@@ -371,20 +373,22 @@ def test_policy_validation_and_round_trip():
     assert WindowPolicy.from_config(pol.to_config()) == pol
 
 
-RETIRED = {"k_auto": False, "margin_radius": False, "span_levels_max": None,
-           "center_seed": 0, "radius_shrink": 1e-9}
+# options of earlier versions, each at the value that left the windows unchanged
+FORMER_KEYS = {"k_auto": False, "margin_radius": False, "span_levels_max": None,
+               "center_seed": 0, "radius_shrink": 1e-9}
 
 
-def test_retired_policy_keys():
+def test_former_policy_keys_are_unknown(tmp_path, monkeypatch, capsys):
     cfg = WindowPolicy(n_values=(4,), k_min=3, k_max=4).to_config()
-    assert WindowPolicy.from_config({**cfg, **RETIRED}) == WindowPolicy.from_config(cfg)
-    others = {"k_auto": [True, 0, None], "margin_radius": [True, 0],
-              "span_levels_max": [0, 6, False], "center_seed": [1, False, 0.0, None],
-              "radius_shrink": [0.0, 0.01, 1e-8, None]}
-    for key, values in others.items():
-        for value in values:
-            with pytest.raises(GapdimsError, match=f"window policy key '{key}'"):
-                WindowPolicy.from_config({**cfg, **RETIRED, key: value})
+    monkeypatch.setenv("GAPDIMS_OUT_DIR", str(tmp_path))
+    for key, value in FORMER_KEYS.items():
+        with pytest.raises(GapdimsError, match=f"unknown key.*window policy: '{key}'"):
+            WindowPolicy.from_config({**cfg, key: value})
+        assert main(["estimate", "--seq", "middle-third", "--w", "8", "--arrangement", "cantor",
+                     "--policy", json.dumps({**cfg, key: value}), "--out", "e"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: unknown key") and f"'{key}'" in err, err
+    assert not list(tmp_path.iterdir())
 
 
 def test_no_admissible_window_when_too_deep():

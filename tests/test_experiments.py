@@ -32,6 +32,8 @@ from gapdims import (
 from gapdims import randmodel, rng
 from gapdims.cli import main
 from gapdims.experiments import (
+    MANIFEST_KINDS,
+    SCHEMA_VERSION,
     TARGETS,
     check_thresholds,
     critical_load,
@@ -215,10 +217,10 @@ def test_dichotomy_parallel_is_byte_identical():
 def test_dichotomy_per_trial_sandwich():
     f = make_dimension_function("zero")
     rep = run_dichotomy_experiment(MID, f, 14, 4, 5, small_policies())
-    for summary in rep.summaries:
-        for t in summary.trials:
+    for summary in rep["depths"]:
+        for t in summary["trials"]:
             assert t["beta_low"] <= t["beta_up"] + 1e-12
-    assert rep.targets["box"] == pytest.approx(math.log(2) / math.log(3), abs=1e-9)
+    assert rep["targets"]["box"] == pytest.approx(math.log(2) / math.log(3), abs=1e-9)
 
 
 def test_dichotomy_matched_seed_ordering():
@@ -228,11 +230,11 @@ def test_dichotomy_matched_seed_ordering():
                                     14, 6, 13, None)
     const = run_dichotomy_experiment(MID, make_dimension_function("constant", 0.5),
                                      14, 6, 13, None)
-    assert zero.summaries[-1].median_up >= const.summaries[-1].median_up
-    assert zero.summaries[-1].median_low <= const.summaries[-1].median_low
+    assert zero["depths"][-1]["median_up"] >= const["depths"][-1]["median_up"]
+    assert zero["depths"][-1]["median_low"] <= const["depths"][-1]["median_low"]
     # matched seeds: the same trial draws the same omega stream
-    assert [t["seed"] for t in zero.summaries[0].trials] == \
-        [t["seed"] for t in const.summaries[0].trials]
+    assert [t["seed"] for t in zero["depths"][0]["trials"]] == \
+        [t["seed"] for t in const["depths"][0]["trials"]]
 
 
 def test_default_policies_are_one_rule_for_every_phi():
@@ -243,15 +245,15 @@ def test_default_policies_are_one_rule_for_every_phi():
     want = {str(depth): [pol.to_config(), pol.to_config()] for depth, pol in rule.items()}
     for f in (make_dimension_function("zero"), make_dimension_function("constant", 1.0)):
         rep = run_dichotomy_experiment(MID, f, 14, 1, 5, policies=None)
-        assert rep.config["policies"] == want
+        assert rep["config"]["policies"] == want
 
 
 def test_reports_record_derived_trial_seeds():
     want = list(enumerate(derive_seed(77, t) for t in range(3)))
     rep = run_dichotomy_experiment(MID, make_dimension_function("zero"), 14, 3, 77,
                                    small_policies())
-    for summary in rep.summaries:
-        assert [(t["trial_id"], t["seed"]) for t in summary.trials] == want
+    for summary in rep["depths"]:
+        assert [(t["trial_id"], t["seed"]) for t in summary["trials"]] == want
     detail = max_load_statistic(MID, 12, 8, 2, 3, master_seed=77)["trials_detail"]
     assert [(t["trial_id"], t["seed"]) for t in detail] == want
 
@@ -264,11 +266,11 @@ def test_dichotomy_cantor_controls_equal_direct_estimates():
     rep = run_dichotomy_experiment(MID, f, 14, 1, 5, policies, workers=2)
     p = level_sums(MID, 60)
     d = depth_function(f, p, 59, clip=True)
-    for summary in rep.summaries:
-        cset = build_set(MID, summary.depth, "cantor")
-        up, low = policies[summary.depth]
-        assert summary.cantor_up == estimate_dimension(cset, "upper", f, p, d, up).beta_hat
-        assert summary.cantor_low == estimate_dimension(cset, "lower", f, p, d, low).beta_hat
+    for summary in rep["depths"]:
+        cset = build_set(MID, summary["depth"], "cantor")
+        up, low = policies[summary["depth"]]
+        assert summary["cantor_up"] == estimate_dimension(cset, "upper", f, p, d, up).beta_hat
+        assert summary["cantor_low"] == estimate_dimension(cset, "lower", f, p, d, low).beta_hat
 
 
 # -- manifest threshold rules ------------------------------------------------
@@ -341,7 +343,7 @@ def test_validated_thresholds_drop_nulls_and_evaluate_in_order():
 def test_report_targets_are_the_validated_names():
     rep = run_dichotomy_experiment(MID, make_dimension_function("zero"), 14, 1, 3,
                                    small_policies())
-    assert tuple(rep.targets) == TARGETS
+    assert tuple(rep["targets"]) == TARGETS
 
 
 # -- manifests -----------------------------------------------------------------
@@ -440,6 +442,7 @@ def explicit(gaps):
 DICH = ("experiments", 0)
 RULES = DICH + ("thresholds",)
 EXPLICIT_GAPS = "explicit gaps must be a list of finite numbers"
+SCHEMA_1 = r"schema_version must be an integer in \[1, 1\]"
 MALFORMED = {
     # case: (edit of small_manifest(), error message pattern)
     "no experiments": (put("experiments", value=[]), "non-empty list"),
@@ -491,9 +494,13 @@ MALFORMED = {
                                     "auto_n_count must be an integer"),
     "policy n_spread not a bool": (put(*DICH, "policies", "8", 0, "n_spread", value=1),
                                    "n_spread must be true or false"),
+    # the five keys of earlier versions are unknown at any value
     "policy removed key at another value": (put(*DICH, "policies", "11", 1, "margin_radius",
                                                 value=True),
-                                            "window policy key 'margin_radius' is removed"),
+                                            "window policy: 'margin_radius'"),
+    "policy removed key at its old value": (put(*DICH, "policies", "14", 0, "radius_shrink",
+                                                value=1e-9),
+                                            "window policy: 'radius_shrink'"),
     "unknown dimension-function key": (put(*DICH, "dimension_function", "parm", value=1),
                                        "'parm'"),
     "dimension function without family": (drop(*DICH, "dimension_function", "family"),
@@ -554,6 +561,10 @@ MALFORMED = {
     "grid on constant": (put(*DICH, "dimension_function", "grid", value=[[0.1, 0.5], [0.01, 0.5]]),
                          "constant takes no grid"),
     "unknown top-level key": (put("trails", value=2), "manifest: 'trails'"),
+    "schema_version 2": (put("schema_version", value=2), SCHEMA_1),
+    "schema_version a string": (put("schema_version", value="banana"), SCHEMA_1),
+    "schema_version null": (put("schema_version", value=None), SCHEMA_1),
+    "schema_version a bool": (put("schema_version", value=True), SCHEMA_1),
     "missing top-level key": (drop("master_seed"), "missing key.*'master_seed'"),
     "dichotomy without the manifest's w": (drop("w"), "needs the manifest's 'w'"),
     "manifest not an object": (lambda m: [m], "manifest must be a JSON object"),
@@ -573,6 +584,14 @@ MALFORMED = {
                                    "'min_frequency' must be a number"),
     "final bound not a number": (put(*RULES, "lower", "final_max", value="1.0"),
                                  "lower final_max must be a number"),
+    "sandwich a string": (put(*RULES, "sandwich", value="no"),
+                          "sandwich must be true, false or null"),
+    "sandwich a number": (put(*RULES, "sandwich", value=1),
+                          "sandwich must be true, false or null"),
+    "target a bool": (put(*RULES, "upper", "target", value=True),
+                      "upper target must be a number"),
+    "target NaN": (put(*RULES, "upper", "target", value=math.nan),
+                   "upper target must be a number"),
     "max_load phi_n below one": (put("experiments", 1, "phi_n", value=0), "phi_n must be"),
     "max_load W below n + phi_n": (put("experiments", 1, "w", value=9), r"need W >= n \+ phi_n"),
     "max_load beyond the supported depths": (put("experiments", 1, "w", value=27),
@@ -697,6 +716,21 @@ def test_small_manifest_runs_through_library_and_cli(tmp_path, monkeypatch):
     assert report == json.loads(json.dumps(outcome))
 
 
+def test_every_kind_reports_one_shape():
+    # one plain record per kind: the shared header first, then its results
+    outcome = run_manifest(small_manifest())
+    assert [r["kind"] for r in outcome["results"]] == list(MANIFEST_KINDS)
+    for res in outcome["results"]:
+        report = res["report"]
+        assert list(report)[:4] == ["schema_version", "kind", "config", "master_seed"]
+        assert (report["schema_version"], report["kind"], report["master_seed"]) == (
+            SCHEMA_VERSION, res["kind"], 5)
+        if res["kind"] == "max_load":
+            # a JSON object's keys are strings: the histogram's loads come back as text
+            report = {**report, "histogram": {str(k): n for k, n in report["histogram"].items()}}
+        assert json.loads(json.dumps(report)) == report
+
+
 def shared_manifest() -> dict:
     """small_manifest's dichotomy entry, a max-load entry, a zero-Phi entry whose
     windows (n = 2, k = 2) are the first entry's (n = 2, phi(2) = 1, k = 1) and a
@@ -726,8 +760,7 @@ def test_manifest_dichotomy_entries_equal_separate_runs(workers):
             manifest["trials"], manifest["master_seed"],
             None if policies is None else policies_from_config(policies, manifest["w"]),
             workers=workers)
-        assert json.dumps(res["report"], sort_keys=True, separators=(",", ":")) == \
-            report_json(alone)
+        assert report_json(res["report"]) == report_json(alone)
 
 
 @pytest.mark.parametrize("entries", [1, 2, 3])

@@ -4,8 +4,10 @@
 and `count_N`) and the three rank-space experiments (`frequency`, `config`
 and `trials_detail`); and, in its traced pass, rebound module functions,
 `ApproxSet.w`, `ApproxSet.level_intervals(w)` and `.slot_mass`.  No workload
-reaches `ExperimentReport.summaries`.  Running its self-test here makes a
-change to any of them fail the test suite."""
+calls `run_dichotomy_experiment`, so the tracer's dichotomy trial counter,
+which reads a `summaries` attribute that reports no longer have, never
+runs.  Running its self-test here makes a change to any of them fail the
+test suite."""
 
 import os
 import subprocess

@@ -9,9 +9,9 @@ import gapdims
 
 PUBLIC = [
     "ApproxSet", "CoverQuery", "DepthTable", "DimensionEstimate", "DimensionFunction",
-    "ExperimentReport", "FormulaEstimate", "GapSequence", "GapdimsError", "LevelProfile",
-    "WindowPolicy", "binomial_tail_check", "box_dim_estimate", "build_set", "depth_function",
-    "derive_seed", "empty_bin_probability", "enumerate_windows", "estimate_dimension",
+    "FormulaEstimate", "GapSequence", "GapdimsError", "LevelProfile", "WindowPolicy",
+    "binomial_tail_check", "box_dim_estimate", "build_set", "depth_function", "derive_seed",
+    "empty_bin_probability", "enumerate_windows", "estimate_dimension",
     "interval_length_lemma_check", "level_sums", "lower_phi_dim_formula",
     "make_dimension_function", "make_sequence", "max_load_statistic",
     "run_dichotomy_experiment", "run_manifest", "slot_counts", "uniforms",
