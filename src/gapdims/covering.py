@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -119,9 +120,9 @@ def _cover_counts(lefts, rights, lo, hi, r) -> np.ndarray:
     return counts
 
 
-@dataclass(frozen=True)
-class CoverQuery:
-    """One resolved window: its geometry, exact count, and exponent."""
+class CoverQuery(NamedTuple):
+    """One resolved window: its geometry, exact count, and exponent.  Records
+    compare as tuples, in field order: the estimate's tie-break."""
 
     n: int
     k: int
@@ -135,9 +136,6 @@ class CoverQuery:
         if self.count_N <= 1:
             return 0.0
         return math.log(self.count_N) / math.log(self.radius_R / self.scale_r)
-
-    def sort_key(self):
-        return (self.n, self.k, self.center_x, self.radius_R)
 
 
 # Shaving a hair off R drops set points at distance exactly R from the
@@ -297,12 +295,11 @@ def estimate_dimension(s: ApproxSet, direction: str, f: DimensionFunction,
     new = list(dict.fromkeys(win[2:] for win in windows if win[2:] not in memo))
     x, big_r, r = np.array(new).reshape(-1, 3).T
     memo.update(zip(new, _cover_counts(s.lefts, s.rights, x - big_r, x + big_r, r).tolist()))
-    records = [CoverQuery(n=n, k=k, center_x=cx, radius_R=cR, scale_r=cr, count_N=c)
-               for n, k, cx, cR, cr in windows if (c := memo[cx, cR, cr]) >= 1]
+    records = [CoverQuery(*win, c) for win in windows if (c := memo[win[2:]]) >= 1]
     if not records:
         raise NoAdmissibleWindowError("all enumerated windows were empty")
     sign = 1.0 if direction == "upper" else -1.0
-    extremal = min(records, key=lambda q: (-sign * q.exponent, q.sort_key()))
+    extremal = min(records, key=lambda q: (-sign * q.exponent, q))
     return DimensionEstimate(
         direction=direction, beta_hat=extremal.exponent,
         records=tuple(records), depth_used=s.w,

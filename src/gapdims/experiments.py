@@ -358,8 +358,9 @@ def binomial_tail_check(grid: list[tuple[int, int]], eta: float) -> list[dict]:
 
     Two-sided: P(|Y - Mp| >= eta*Mp) <= exp(-eta^2 Mp / 3) / (eta sqrt(Mp)).
     One-sided at eta = 1/12: each tail <= exp(-Mp/432), checked only
-    where ``corollary_in_hypothesis`` (Mp >= 200).  A row whose
-    precondition fails holds NaN values and its ``skip_reason``.
+    where ``corollary_in_hypothesis`` (Mp >= 200).  Each row's ``pass`` says
+    whether its checked bounds hold; a row whose precondition fails holds
+    NaN values, its ``skip_reason`` and ``pass`` None.
     """
     if not 0.0 < eta <= 1.0 / 12.0:
         raise InvalidRangeError("eta must be in (0, 1/12]")
@@ -374,22 +375,26 @@ def binomial_tail_check(grid: list[tuple[int, int]], eta: float) -> list[dict]:
                 ("exact_two_sided_tail", "exact_upper_tail", "exact_lower_tail",
                  "dml_bound", "corollary_bound"), math.nan),
                 "in_hypothesis": False, "corollary_in_hypothesis": False,
-                "skip_reason": f"eta*p*(1-p)*M = {precondition:.3g} < 12"})
+                "skip_reason": f"eta*p*(1-p)*M = {precondition:.3g} < 12", "pass": None})
             continue
         dev = eta * mp
         hi = math.ceil(mp + dev - 1e-9)
         lo = math.floor(mp - dev + 1e-9)
+        two_sided = binomial_tail_mass(m, p, lo, hi)
         upper = binomial_tail_mass(m, p, None, math.ceil(13.0 / 12.0 * mp - 1e-9))
         lower = binomial_tail_mass(m, p, math.floor(11.0 / 12.0 * mp + 1e-9), None)
+        dml = math.exp(-eta * eta * mp / 3.0) / (eta * math.sqrt(mp))
+        corollary = math.exp(-ADOPTED_C * mp)
+        corollary_checked = mp >= 200.0
         out.append({
             **row,
-            "exact_two_sided_tail": binomial_tail_mass(m, p, lo, hi),
+            "exact_two_sided_tail": two_sided,
             "exact_upper_tail": upper, "exact_lower_tail": lower,
-            "dml_bound": math.exp(-eta * eta * mp / 3.0) / (eta * math.sqrt(mp)),
-            "corollary_bound": math.exp(-ADOPTED_C * mp),
+            "dml_bound": dml, "corollary_bound": corollary,
             "in_hypothesis": True,
-            "corollary_in_hypothesis": mp >= 200.0,
+            "corollary_in_hypothesis": corollary_checked,
             "skip_reason": None,
+            "pass": two_sided <= dml and (not corollary_checked or max(upper, lower) <= corollary),
         })
     return out
 
@@ -439,9 +444,9 @@ def validate_thresholds(rules: dict) -> dict:
             check_value(target, f"{side} target", kind=Real)   # never a bool or NaN
         if not set(rule) - {"target"}:
             raise GapdimsError(f"{side} rule defines no check")
-        for key in FINAL_RULES:
-            if key in rule:
-                check_value(rule[key], f"{side} {key}", kind=Real)
+        for key, (_, on_dist, _) in FINAL_RULES.items():
+            if key in rule:   # a distance bound below 0 never passes
+                check_value(rule[key], f"{side} {key}", 0 if on_dist else -math.inf, kind=Real)
         out[side] = rule
     if out == {"sandwich": False}:
         raise GapdimsError("thresholds define no check")
@@ -522,7 +527,8 @@ def validate_manifest(manifest: dict) -> tuple[GapSequence, list[tuple[str, str,
         parsed = dict(check_keys(entry, f"experiments[{i}]", required,
                                  ("kind", "name", *optional)))
         if label is not None:
-            check_value(parsed["min_frequency"], f"experiments[{i}] 'min_frequency'", kind=Real)
+            check_value(parsed["min_frequency"], f"experiments[{i}] 'min_frequency'", 0, 1,
+                        kind=Real)
         if kind == "dichotomy":
             if "w" not in manifest:
                 raise GapdimsError("a dichotomy entry needs the manifest's 'w'")

@@ -39,19 +39,6 @@ def check_depth(w: int, sequence: GapSequence | None = None) -> None:
             f"sequence defines {sequence.max_index} gaps, depth {w} needs {2 ** w - 1}")
 
 
-def _cantor_positions(w: int) -> np.ndarray:
-    """In-order traversal position of each heap-indexed gap.
-
-    Gap j at depth d = level(j) - 1 with offset m = j - 2^d sits at
-    position (2m + 1) * 2^(W - 1 - d) - 1, which is exactly the in-order
-    rank of node j in a complete binary tree of height W - 1.
-    """
-    j = np.arange(1, 2 ** w, dtype=np.int64)
-    d = np.frexp(j.astype(np.float64))[1] - 1  # floor(log2 j)
-    m = j - (np.int64(1) << d.astype(np.int64))
-    return (2 * m + 1) * (np.int64(1) << (w - 1 - d).astype(np.int64)) - 1
-
-
 @dataclass(frozen=True)
 class ApproxSet:
     """Depth-W approximation of a complementary set under one arrangement:
@@ -139,9 +126,15 @@ def build_set(sequence: GapSequence, w: int, arrangement: str, seed: int | None 
         slot_mass = tail * spacings / spacings.sum()
         del omega, spacings          # free the draw before the geometry is laid out
     elif arrangement == "cantor":
-        pos = _cantor_positions(w)
-        order = np.empty(m, dtype=np.int64)
-        order[pos] = np.arange(1, m + 1)
+        # in-order rank q = (2i + 1) * 2^t of the heap is gap 2^(W - 1 - t) + i
+        order = np.arange(1, m + 1, dtype=np.int64)
+        low = np.negative(order)
+        low &= order                 # 2^t, the lowest set bit of q
+        order //= low
+        order >>= 1                  # i
+        np.floor_divide(2 ** (w - 1), low, out=low)
+        order += low
+        del low                      # free before the geometry is laid out
         slot_mass = np.full(m + 1, tail / (m + 1))
     elif arrangement == "decreasing":
         order = np.arange(m, 0, -1, dtype=np.int64)

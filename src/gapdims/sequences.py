@@ -105,8 +105,7 @@ class GapSequence:
     def level_gap_lengths(self, n_max: int) -> np.ndarray:
         """Common gap length of each level 1..n_max (rule-based only)."""
         r = _ratio_table(self.schedule, self.ratios, n_max)
-        s_prev = np.exp(np.concatenate([[0.0], np.cumsum(np.log(r[:-1]))]))
-        return (1.0 - 2.0 * r) * s_prev
+        return (1.0 - 2.0 * r) * np.exp(self.log_level_sums(n_max - 1))
 
     def gap_lengths(self, indices: np.ndarray) -> np.ndarray:
         """a_j for an array of indices (1-based)."""

@@ -22,6 +22,16 @@ def omega_labels(seed: int, w: int) -> np.ndarray:
     return rng.uniforms(seed, 1, 2 ** w)
 
 
+def cantor_positions(w: int) -> np.ndarray:
+    """In-order position of each heap-indexed gap j = 1..2^W-1 in the Cantor
+    arrangement: gap j at depth d = floor(log2 j) with offset m = j - 2^d sits
+    at position (2m + 1) * 2^(W - 1 - d) - 1."""
+    j = np.arange(1, 2 ** w, dtype=np.int64)
+    d = np.frexp(j.astype(np.float64))[1] - 1  # floor(log2 j)
+    m = j - (np.int64(1) << d.astype(np.int64))
+    return (2 * m + 1) * (np.int64(1) << (w - 1 - d).astype(np.int64)) - 1
+
+
 def position_of(s) -> np.ndarray:
     """Inverse of ``s.order``: pos[j - 1] = left-to-right position of gap j."""
     pos = np.empty(s.n_gaps, dtype=np.int64)

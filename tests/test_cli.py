@@ -6,6 +6,7 @@ import math
 
 import pytest
 
+from gapdims import experiments
 from gapdims.cli import main, parse_phi, parse_sequence
 
 
@@ -152,12 +153,40 @@ def test_config_value_the_flag_refuses_exits_2(outdir, tmp_path, capsys, command
     assert list(outdir.glob("c.*")) == []
 
 
-def test_tailcheck_default_grid(outdir):
+def test_tailcheck_default_grid(outdir, capsys):
     assert main(["tailcheck", "--grid", "default", "--out", "t"]) == 0
     rep = json.loads((outdir / "t.json").read_text())
     assert rep["pass"]
     assert all(r["exact_two_sided_tail"] <= r["dml_bound"]
                for r in rep["rows"] if r["in_hypothesis"])
+    assert [r["pass"] for r in rep["rows"]] == [True] * 5
+    assert [line[:6] for line in capsys.readouterr().out.splitlines()] == ["[PASS]"] * 5
+
+
+def test_tailcheck_fails_a_row_that_breaks_only_the_corollary(outdir, monkeypatch, capsys):
+    exact = experiments.binomial_tail_mass
+
+    def heavy_one_sided_tails(m, p, lo, hi):
+        # a one-sided tail (one bound None) over exp(-Mp/432); two-sided tails stay exact
+        if lo is None or hi is None:
+            return 1.5 * math.exp(-m * p / 432.0)
+        return exact(m, p, lo, hi)
+    monkeypatch.setattr(experiments, "binomial_tail_mass", heavy_one_sided_tails)
+    assert main(["tailcheck", "--grid", "default", "--out", "t"]) == 1
+    rep = json.loads((outdir / "t.json").read_text())
+    assert rep["pass"] is False
+    assert all(r["in_hypothesis"] and r["corollary_in_hypothesis"] for r in rep["rows"])
+    assert all(r["exact_two_sided_tail"] <= r["dml_bound"] for r in rep["rows"])
+    assert [r["pass"] for r in rep["rows"]] == [False] * 5
+    assert [line[:6] for line in capsys.readouterr().out.splitlines()] == ["[FAIL]"] * 5
+
+
+def test_tailcheck_skipped_row(outdir, capsys):
+    assert main(["tailcheck", "--grid", "10:4", "--out", "t"]) == 0
+    rep = json.loads((outdir / "t.json").read_text())
+    assert rep["pass"] is True
+    assert [r["pass"] for r in rep["rows"]] == [None]
+    assert capsys.readouterr().out.startswith("[SKIP] M=10 N=4")
 
 
 def test_experiment_manifest_small(outdir, tmp_path):

@@ -181,12 +181,14 @@ def test_tail_check_example_values():
     assert r1["corollary_bound"] == pytest.approx(math.exp(-1024.0 / 432.0), rel=1e-12)
     assert r1["corollary_in_hypothesis"]
     assert max(r1["exact_upper_tail"], r1["exact_lower_tail"]) <= r1["corollary_bound"]
+    assert r0["pass"] is True and r1["pass"] is True
 
 
 def test_tail_check_skips_out_of_hypothesis_rows():
     rows = binomial_tail_check([(10, 4)], 1.0 / 12.0)
     assert not rows[0]["in_hypothesis"]
     assert rows[0]["skip_reason"]
+    assert rows[0]["pass"] is None
     with pytest.raises(Exception):
         binomial_tail_check([(100, 2)], 0.5)  # eta too large
 
@@ -592,6 +594,24 @@ MALFORMED = {
                       "upper target must be a number"),
     "target NaN": (put(*RULES, "upper", "target", value=math.nan),
                    "upper target must be a number"),
+    # a binding bound that always or never passes is refused, as is any infinite number
+    "min_frequency -Infinity": (put("experiments", 1, "min_frequency", value=-math.inf),
+                                r"'min_frequency' must be a number in \[0, 1\]"),
+    "min_frequency above one": (put("experiments", 2, "min_frequency", value=1.5),
+                                r"'min_frequency' must be a number in \[0, 1\]"),
+    "min_frequency below zero": (put("experiments", 3, "min_frequency", value=-0.1),
+                                 r"'min_frequency' must be a number in \[0, 1\]"),
+    "final_max Infinity": (put(*RULES, "lower", "final_max", value=math.inf),
+                           r"lower final_max must be a number in \(-inf, inf\)"),
+    "final_distance_max negative": (put(*RULES, "upper", "final_distance_max", value=-0.1),
+                                    r"upper final_distance_max must be a number in \[0, inf\)"),
+    "target -Infinity": (put(*RULES, "upper", "target", value=-math.inf),
+                         "upper target must be a number"),
+    "dimension-function param Infinity": (put(*DICH, "dimension_function", "param",
+                                              value=math.inf),
+                                          "constant parameter must be a number"),
+    "tabulated grid value Infinity": (tabulated([[0.1, math.inf], [0.01, 0.5]]),
+                                      "tabulated grid entry must be a number"),
     "max_load phi_n below one": (put("experiments", 1, "phi_n", value=0), "phi_n must be"),
     "max_load W below n + phi_n": (put("experiments", 1, "w", value=9), r"need W >= n \+ phi_n"),
     "max_load beyond the supported depths": (put("experiments", 1, "w", value=27),

@@ -21,6 +21,8 @@ PUBLIC = [
 # what a set stores: its level-W intervals once, the order and slot masses, two memos
 APPROX_SET_FIELDS = ["w", "order", "lefts", "rights", "slot_mass", "_center_cache",
                      "_count_cache"]
+# a record's fields, in the order that breaks an estimate's ties between windows
+COVER_QUERY_FIELDS = ("n", "k", "center_x", "radius_R", "scale_r", "count_N")
 
 
 def test_public_names_are_pinned():
@@ -30,6 +32,10 @@ def test_public_names_are_pinned():
 
 def test_set_fields_are_pinned():
     assert [f.name for f in dataclasses.fields(gapdims.ApproxSet)] == APPROX_SET_FIELDS
+
+
+def test_record_fields_are_pinned():
+    assert gapdims.CoverQuery._fields == COVER_QUERY_FIELDS
 
 
 def test_import_does_not_load_scipy():

@@ -17,6 +17,7 @@ from gapdims import (
 from gapdims import randmodel, rng
 
 from helpers import (
+    cantor_positions,
     gap_counts_in_level_intervals,
     omega_labels,
     position_of,
@@ -111,6 +112,22 @@ def test_cantor_positions_are_in_order_traversal():
     assert pos[0] == 7 and pos[1] == 3 and pos[2] == 11
 
 
+def test_cantor_order_inverts_the_position_formula():
+    for w in range(1, 21):
+        order = build_set(MID, w, "cantor").order
+        assert np.array_equal(order[cantor_positions(w)], np.arange(1, 2 ** w))
+
+
+def test_cantor_order_is_the_in_order_walk_of_the_heap():
+    def walk(j, depth, w):
+        # gaps of the subtree at heap node j (children 2j, 2j + 1), left to right
+        if depth == w:
+            return []
+        return walk(2 * j, depth + 1, w) + [j] + walk(2 * j + 1, depth + 1, w)
+    for w in range(1, 11):
+        assert build_set(MID, w, "cantor").order.tolist() == walk(1, 0, w)
+
+
 def test_decreasing_points_are_tail_sums():
     # with gaps placed in decreasing-index order and the whole tail in the
     # leftmost slot, right endpoints of intervals are exact tail sums
@@ -155,16 +172,18 @@ def test_level_intervals_read_from_the_stored_intervals():
 
 
 def test_build_set_peak_memory_per_gap():
-    # the draw and its spacings are freed before the intervals are laid out in place
+    # the draw and its spacings, or the cantor order's scratch, are freed before
+    # the intervals are laid out in place
     w = 16
     build_set(MID, w, "random", seed=1)   # the sequence's level tables, outside the trace
-    tracemalloc.start()
-    try:
-        build_set(MID, w, "random", seed=5)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 44 * (2 ** w - 1)
+    for arrangement, seed in (("random", 5), ("cantor", None)):
+        tracemalloc.start()
+        try:
+            build_set(MID, w, arrangement, seed)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 44 * (2 ** w - 1), arrangement
 
 
 def test_a_set_holds_its_geometry_once():
