@@ -11,8 +11,8 @@ Counting is exact: in one dimension the greedy sweep (always start the
 next ball at the leftmost uncovered point) is optimal.  One vectorized
 kernel runs that sweep over all windows of an estimate in lockstep, with
 the serial loop's float arithmetic, so counts match it bit for bit.
-Wide windows are counted by 2r-clusters instead, with the same counts
-in far fewer lockstep steps.
+A window wider than `_LOCKSTEP_BALLS` balls of radius r is counted by
+2r-clusters instead, with the same counts in far fewer lockstep steps.
 Radii below the approximation's truncation floor are skipped, since at
 those scales the depth-W set no longer resolves the true one.  Window
 centers sit at endpoints of the construction intervals: these are points
@@ -74,36 +74,35 @@ def _lockstep_counts(lefts, rights, lo, hi, width) -> np.ndarray:
 # 2r(1 + 1e-9) + 8 ulp(1) is a break.  A wider margin only merges clusters.
 _BREAK_ULPS = 8 * np.finfo(np.float64).eps
 
+# The lockstep sweep takes one step per ball, and a window needs at most about
+# (hi - lo)/2r + 1 balls; one pass over its spaces to find its 2r-clusters costs
+# a few hundred steps at W = 20.  At W >= 17 the windows of the pinned manifest
+# and the policy sweep need <= 81 or >= 6,561 balls: any bound between agrees.
+_LOCKSTEP_BALLS = 256
+
 
 def _cover_counts(lefts, rights, lo, hi, r) -> np.ndarray:
     """`_lockstep_counts` of 2r-balls, bit for bit, for every window at once.
 
     No ball reaches across a space wider than 2r, so the greedy sweep
-    restarts after it as in a fresh window.  When the windows of one r
-    together span more segments than the set holds, a window's count is
-    that of its clipped first 2r-cluster, a prefix sum over one lockstep
-    batch of all clusters, and that of its clipped last cluster.
+    restarts after it as in a fresh window.  A window wider than
+    `_LOCKSTEP_BALLS` balls is counted by 2r-clusters: its clipped end
+    clusters plus a prefix sum over one lockstep batch of its r's clusters.
     """
     lo, hi, r = (np.asarray(v, dtype=np.float64) for v in (lo, hi, r))
     idx = np.searchsorted(rights, lo, side="left")
     end = np.searchsorted(lefts, hi, side="right")
     counts = np.zeros(lo.shape, dtype=np.int64)
-    live = idx < end
-    parts = []     # (window, lo, hi, r) of the windows or clipped ends still to count
-    breaks = None
-    for radius in np.unique(r[live]):
-        win = np.flatnonzero(live & (r == radius))
+    wide = (idx < end) & (hi - lo > _LOCKSTEP_BALLS * 2.0 * r)
+    rest = np.flatnonzero(~wide)
+    parts = [(rest, lo[rest], hi[rest], r[rest])]   # (window, lo, hi, r) still to count
+    for radius in np.unique(r[wide]):
+        win = np.flatnonzero(wide & (r == radius))
         first, stop = idx[win], end[win]
-        if np.sum(stop - first) <= lefts.size:
-            parts.append((win, lo[win], hi[win], r[win]))
-            continue
-        if breaks is None:   # radii ascend, so later breaks are among these
-            a, b = idx[live].min(), end[live].max()
-            breaks, spaces = np.arange(a + 1, b), lefts[a + 1:b] - rights[a:b - 1]
-        keep = spaces > 2.0 * radius * (1.0 + 1e-9) + _BREAK_ULPS
-        breaks, spaces = breaks[keep], spaces[keep]
         a, b = first.min(), stop.max()
-        starts = np.concatenate([[a], breaks[(breaks > a) & (breaks < b)]])
+        limit = 2.0 * radius * (1.0 + 1e-9) + _BREAK_ULPS
+        starts = np.flatnonzero(np.concatenate([[True], lefts[a + 1:b] - rights[a:b - 1] > limit]))
+        starts += a
         lasts = np.append(starts[1:], b) - 1
         full = _lockstep_counts(lefts, rights, lefts[starts], rights[lasts],
                                 np.full(starts.size, 2.0 * radius))
@@ -114,9 +113,8 @@ def _cover_counts(lefts, rights, lo, hi, r) -> np.ndarray:
         counts[win[split]] = cum[tail[split]] - cum[head[split] + 1]
         parts.append((win, lo[win], np.where(split, rights[lasts[head]], hi[win]), r[win]))
         parts.append((win[split], lefts[starts[tail[split]]], hi[win[split]], r[win[split]]))
-    if parts:
-        win, lo, hi, r = (np.concatenate(col) for col in zip(*parts))
-        np.add.at(counts, win, _lockstep_counts(lefts, rights, lo, hi, 2.0 * r))
+    win, lo, hi, r = (np.concatenate(col) for col in zip(*parts))
+    np.add.at(counts, win, _lockstep_counts(lefts, rights, lo, hi, 2.0 * r))
     return counts
 
 
@@ -169,6 +167,8 @@ class WindowPolicy:
                     f"n_values must be null or a non-empty list of integers, got {self.n_values!r}")
             for n in self.n_values:
                 check_value(n, "n_values entries", 1)
+            if len(set(self.n_values)) < len(self.n_values):
+                raise InvalidRangeError(f"n_values repeats a level: {list(self.n_values)}")
         if not isinstance(self.n_spread, bool):
             raise InvalidRangeError(f"n_spread must be true or false, got {self.n_spread!r}")
         check_value(self.k_min, "k_min", 0)
@@ -280,11 +280,11 @@ def estimate_dimension(s: ApproxSet, direction: str, f: DimensionFunction,
     it was built from.  "upper" takes the max exponent over windows,
     "lower" the min; empty windows (count 0) are skipped — centers lie in
     the set, so they only arise from subsampled neighbors.  Windows not
-    yet counted on ``s`` go to one call of the cover kernel, which counts
-    each radius group by the lockstep sweep or by 2r-clusters, and are
-    remembered by the set, since a count depends only on its segments,
-    x +- R and r; the reduction is a deterministic extremum with a
-    lexicographic tie-break on the window.
+    yet counted on ``s`` go to one call of the cover kernel (2r-clusters
+    for a window wider than `_LOCKSTEP_BALLS` balls, where one pass over its
+    spaces beats a lockstep step per ball) and are remembered by the set: a
+    count depends only on the segments, x +- R and r.  The reduction is a
+    deterministic extremum with a lexicographic tie-break on the window.
     """
     if direction not in ("upper", "lower"):
         raise InvalidRangeError(f"direction must be upper or lower, got {direction!r}")

@@ -165,15 +165,15 @@ def test_kernel_edge_cases_match_oracle():
 
 @pytest.fixture
 def lockstep_batches(monkeypatch):
-    """The size of every lockstep batch that `_cover_counts` runs, in order."""
-    sizes = []
+    """The (lo, hi, width) of every lockstep batch that `_cover_counts` runs, in order."""
+    batches = []
 
     def spy(lefts, rights, lo, hi, width):
-        sizes.append(len(lo))
+        batches.append((lo.copy(), hi.copy(), width.copy()))
         return _lockstep_counts(lefts, rights, lo, hi, width)
 
     monkeypatch.setattr(covering, "_lockstep_counts", spy)
-    return sizes
+    return batches
 
 
 # r = 1/16, so 2r = 1/8: a point pair exactly 2r apart, a space one ulp
@@ -183,7 +183,9 @@ CLUSTER_LEFTS = np.array([0.0, 0.125, np.nextafter(0.25, 1.0), 0.5, 0.6875 + 1e-
 CLUSTER_RIGHTS = np.array([0.0, 0.125, 0.3125, 0.5625, 0.75, 0.85, 1.0])
 
 
-def test_cluster_path_matches_oracles(lockstep_batches):
+def test_cluster_path_matches_oracles(lockstep_batches, monkeypatch):
+    # with a bound of 0 balls every window that meets the set takes the cluster path
+    monkeypatch.setattr(covering, "_LOCKSTEP_BALLS", 0)
     lefts, rights = CLUSTER_LEFTS, CLUSTER_RIGHTS
     # window edges on endpoints, inside segments, inside spaces and outside the set
     edges = sorted({*lefts.tolist(), *rights.tolist(), -0.1, 0.0625, 0.2, 0.28, 0.4, 0.53,
@@ -193,10 +195,12 @@ def test_cluster_path_matches_oracles(lockstep_batches):
     got = batched_counts(lefts, rights, wide + narrow)
     want = [_greedy_count(lefts, rights, *win) for win in wide + narrow]
     assert got == want
-    # one batch of full clusters per wide r (1/32 first: every space but the
-    # last is a break; 1/16: the 2r space and the one inside the margin are not),
-    # then one batch of the clipped ends, the one-cluster windows and the narrow window
-    assert lockstep_batches[:2] == [6, 3] and len(lockstep_batches) == 3
+    # one batch of full clusters per r, smallest first (0.01: the narrow window's
+    # one segment; 1/32: every space but the last is a break; 1/16: the 2r space
+    # and the one inside the margin are not), then one batch of the clipped
+    # ends, the one-cluster windows and the empty windows
+    assert [lo.size for lo, _, _ in lockstep_batches[:3]] == [1, 6, 3]
+    assert len(lockstep_batches) == 4
     # the oracle's 1e-15 slack would join the points an ulp apart, so it checks r = 1/32
     segs = list(zip(lefts, rights))
     for (lo, hi, r), count in zip(wide, got):
@@ -211,23 +215,44 @@ def test_cluster_path_matches_oracles(lockstep_batches):
 
 
 def test_dispatch_sends_wide_groups_to_clusters(lockstep_batches):
+    assert covering._LOCKSTEP_BALLS == 256
     lefts, rights = CLUSTER_LEFTS, CLUSTER_RIGHTS
-    # together the windows of one r span no more segments than the set holds
-    narrow = [(0.0, 0.4, 1 / 16), (0.5, 1.0, 1 / 16), (0.0, 0.3, 1 / 32)]
-    assert batched_counts(lefts, rights, narrow) == \
-        [_greedy_count(lefts, rights, *win) for win in narrow]
-    assert lockstep_batches == [3]
-    # one more window of r = 1/16 tips that group over; r = 1/32 stays
+    # 2r = 1/1024: [0.5, 0.75] holds exactly 256 balls and stays on lockstep, one
+    # ulp more goes to clusters (two of them, [0.5, 0.5625] and [0.6875, 0.75])
+    wins = [(0.5, 0.75, 1 / 2048), (0.5, np.nextafter(0.75, 1.0), 1 / 2048)]
+    assert batched_counts(lefts, rights, wins[:1]) == \
+        [_greedy_count(lefts, rights, *wins[0])]
+    assert [lo.size for lo, _, _ in lockstep_batches] == [1]
     lockstep_batches.clear()
-    wide = narrow + [(0.2, 0.9, 1 / 16)]
-    assert batched_counts(lefts, rights, wide) == \
-        [_greedy_count(lefts, rights, *win) for win in wide]
-    assert len(lockstep_batches) == 2
-    # on a random set: manifest-like wide windows take the cluster path
+    assert batched_counts(lefts, rights, wins) == \
+        [_greedy_count(lefts, rights, *win) for win in wins]
+    # the clusters, then the narrow window as it is and the wide one's clipped ends
+    (_, _, width), (lo, hi, _) = lockstep_batches
+    assert width.tolist() == [1 / 1024] * 2
+    assert lo.tolist() == [0.5, 0.5, 0.6875 + 1e-9] and hi.tolist() == [0.75, 0.5625, wins[1][1]]
+    # on a random set, one r reached from two levels: with Phi = 0, r = s_9 is
+    # 729 balls from n = 3 (clusters) and 81 balls from n = 5 (lockstep)
     s = build_set(MID, 13, "random", seed=21)
     lefts, rights = s.lefts, s.rights
-    d = depth_function(make_dimension_function("constant", 0.5), level_sums(MID, 30), 28,
-                       clip=True)
+    p = level_sums(MID, 30)
+    d = depth_function(make_dimension_function("zero"), p, 28)
+    wins = enumerate_windows(s, d, WindowPolicy(n_values=(3, 5), k_min=4, k_max=6))
+    n, x, big_r, r = (np.array(col) for col in zip(*((w[0], *w[2:]) for w in wins)))
+    assert np.any((n == 3) & (r == p.s[9])) and np.any((n == 5) & (r == p.s[9]))
+    lockstep_batches.clear()
+    got = _cover_counts(lefts, rights, x - big_r, x + big_r, r)
+    assert np.array_equal(got, _lockstep_counts(lefts, rights, x - big_r, x + big_r, 2.0 * r))
+    # one cluster batch for r = s_9 (s_11 is below the truncation floor), then the rest
+    assert [np.unique(width).tolist() for _, _, width in lockstep_batches[:-1]] == \
+        [[2.0 * p.s[9]]]
+    # the n = 5 windows of r = s_9 enter the last batch whole, the n = 3 ones clipped
+    whole = set(zip(*(v.tolist() for v in lockstep_batches[-1])))
+    for level, path in ((5, True), (3, False)):
+        at = (n == level) & (r == p.s[9])
+        assert {(a, b, 2.0 * p.s[9]) in whole
+                for a, b in zip((x - big_r)[at], (x + big_r)[at])} == {path}
+    # manifest-like wide windows take the cluster path
+    d = depth_function(make_dimension_function("constant", 0.5), p, 28, clip=True)
     x, big_r, r = np.array([w[2:] for w in enumerate_windows(
         s, d, WindowPolicy(n_values=(3,), k_min=1, k_max=4))]).T
     lockstep_batches.clear()
@@ -369,6 +394,11 @@ def test_policy_validation_and_round_trip():
         WindowPolicy(k_min=-1)
     with pytest.raises(InvalidRangeError):
         WindowPolicy(k_min=3, k_max=1)
+    # each window of a repeated level would be counted and recorded twice
+    with pytest.raises(InvalidRangeError, match=r"n_values repeats a level: \[4, 4\]"):
+        WindowPolicy(n_values=(4, 4))
+    with pytest.raises(InvalidRangeError, match="n_values repeats a level"):
+        WindowPolicy.from_config({"n_values": [3, 4, 3]})
     pol = WindowPolicy(n_values=(4,), k_min=2, k_max=5, max_centers=32)
     assert WindowPolicy.from_config(pol.to_config()) == pol
 

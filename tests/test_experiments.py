@@ -490,6 +490,9 @@ MALFORMED = {
                                      "n_values entries must be an integer"),
     "policy n_values empty": (put(*DICH, "policies", "14", 1, "n_values", value=[]),
                               "n_values must be null or a non-empty list"),
+    "policy n_values repeats a level": (chain(put(*DICH, "policies", "14", 0, "n_values",
+                                                  value=[4, 4]), max_load_first),
+                                        "n_values repeats a level"),
     "policy max_centers a bool": (put(*DICH, "policies", "14", 0, "max_centers", value=True),
                                   "max_centers must be an integer"),
     "policy auto_n_count a float": (put(*DICH, "policies", "8", 0, "auto_n_count", value=2.0),

@@ -3,6 +3,7 @@
 import math
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -15,7 +16,7 @@ from gapdims import (
     make_sequence,
     upper_phi_dim_formula,
 )
-from gapdims import dimfuncs
+from gapdims import covering, dimfuncs
 from gapdims.covering import _cover_counts, _lockstep_counts
 
 from test_covering import _greedy_count
@@ -104,10 +105,10 @@ def test_dispatched_counts_equal_lockstep(data):
     lo, hi, r = (np.array(col) for col in zip(*wins))
     want = _lockstep_counts(lefts, rights, lo, hi, 2.0 * r)
     assert np.array_equal(_cover_counts(lefts, rights, lo, hi, r), want)
-    # repeated past the segment count, every r group takes the cluster path
-    reps = n_seg + 1
-    got = _cover_counts(lefts, rights, np.tile(lo, reps), np.tile(hi, reps), np.tile(r, reps))
-    assert np.array_equal(got, np.tile(want, reps))
+    # with a bound of 0 balls every window that meets the set takes the cluster path
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(covering, "_LOCKSTEP_BALLS", 0)
+        assert np.array_equal(_cover_counts(lefts, rights, lo, hi, r), want)
 
 
 @given(seed=st.integers(0, 2 ** 40), w=st.integers(2, 10))
