@@ -40,8 +40,8 @@ from .experiments import (
     run_dichotomy_experiment,
     run_manifest,
 )
-from .randmodel import ApproxSet, build_set, slot_counts
-from .rng import derive_seed, uniforms
+from .randmodel import ApproxSet, build_set
+from .rng import derive_seed
 from .sequences import (
     GapSequence,
     LevelProfile,
@@ -75,10 +75,8 @@ __all__ = [
     "max_load_statistic",
     "run_dichotomy_experiment",
     "run_manifest",
-    "slot_counts",
     "lower_phi_dim_formula",
     "make_dimension_function",
     "make_sequence",
-    "uniforms",
     "upper_phi_dim_formula",
 ]

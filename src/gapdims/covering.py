@@ -2,10 +2,10 @@
 
 A window is a ball B(x, R) with R the level-n scale and a covering
 radius r at least phi(n) levels deeper, so each scale pair respects
-r <= R^(1 + Phi(R)).  The upper-dimension estimate is the max of
-ln N / ln(R/r) over all enumerated windows, the lower estimate the min,
-where N is the exact minimum number of closed balls of radius r needed
-to cover the approximate set inside the window.
+r <= R^(1 + Phi(R)).  The upper-dimension estimate is the max of the
+window exponent min(1, ln N / ln(R/r)) over all enumerated windows, the
+lower estimate the min, where N is the exact minimum number of closed
+balls of radius r needed to cover the approximate set inside the window.
 
 Counting is exact: in one dimension the greedy sweep (always start the
 next ball at the leftmost uncovered point) is optimal.  One vectorized
@@ -120,7 +120,8 @@ def _cover_counts(lefts, rights, lo, hi, r) -> np.ndarray:
 
 class CoverQuery(NamedTuple):
     """One resolved window: its geometry, exact count, and exponent.  Records
-    compare as tuples, in field order: the estimate's tie-break."""
+    compare as tuples, in field order: the estimate's tie-break.  The exponent
+    is capped at 1, the dimension of the line; N can reach R/r + 1 at small R/r."""
 
     n: int
     k: int
@@ -130,10 +131,8 @@ class CoverQuery(NamedTuple):
     count_N: int
 
     @property
-    def exponent(self) -> float:
-        if self.count_N <= 1:
-            return 0.0
-        return math.log(self.count_N) / math.log(self.radius_R / self.scale_r)
+    def exponent(self) -> float:   # 0 for N <= 1
+        return min(1.0, math.log(max(self.count_N, 1)) / math.log(self.radius_R / self.scale_r))
 
 
 # Shaving a hair off R drops set points at distance exactly R from the

@@ -199,8 +199,8 @@ def critical_load(n: int, phi_n: int) -> float:
     return 2.0 * ln_bins / math.log(2 ** n * ln_bins / 2 ** (n + phi_n))
 
 
-def _check_max_load(w: int, n: int, phi_n: int) -> None:
-    check_value(w, "w", 1, randmodel.MAX_DEPTH)
+def _check_max_load(a: GapSequence, w: int, n: int, phi_n: int) -> None:
+    randmodel.check_depth(w, a)
     check_value(n, "n", 1)
     check_value(phi_n, "phi_n", 1)
     if w < n + phi_n:
@@ -228,13 +228,13 @@ def max_load_statistic(
     (one level-(n+1) gap, two level-(n+2) gaps, and so on).  Trials record
     ``empty_bin`` when W reaches the depth n + phi_n + floor(A ln n).
     """
-    _check_max_load(w, n, phi_n)
+    _check_max_load(a, w, n, phi_n)
     k_n = critical_load(n, phi_n)
     ext = phi_n + math.floor(LOAD_CUTOFF_A * math.log(n))
     bounds = (2 ** n, 2 ** (n + phi_n)) + ((2 ** (n + ext),) if w >= n + ext else ())
 
     def trial(seed):
-        counts = randmodel.slot_counts(seed, w, n, bounds)
+        counts = randmodel.slot_counts(seed, n, bounds)
         extension = {"empty_bin": bool(counts[1].min() == 0)} if len(counts) > 1 else {}
         return {"M_n": int(counts[0].max()), "K_n": k_n, **extension}
 
@@ -290,9 +290,8 @@ def length_constant(p: LevelProfile) -> float:
 
 
 def _interval_profile(a: GapSequence, w: int, n: int) -> LevelProfile:
-    check_value(w, "w", 4, randmodel.MAX_DEPTH)
-    check_value(n, "n", 2, w - 2)   # headroom below W
     randmodel.check_depth(w, a)
+    check_value(n, "n", 2, w - 2)   # headroom below W
     return _comparable_profile(a, max(n, 16), "the lemma's bounds")
 
 
@@ -491,7 +490,7 @@ MANIFEST_KINDS = {
                   ("dimension_function", "thresholds"), ("policies",), None),
     "max_load": (lambda a, m, e: max_load_statistic(
                      a, e["w"], e["n"], e["phi_n"], m["trials"], m["master_seed"]),
-                 lambda a, m, e: _check_max_load(e["w"], e["n"], e["phi_n"]),
+                 lambda a, m, e: _check_max_load(a, e["w"], e["n"], e["phi_n"]),
                  ("w", "n", "phi_n", "min_frequency"), (), "freq(M_n > K_n)"),
     "empty_bin": (lambda a, m, e: empty_bin_probability(
                       e["n_bins_log2"], e["balls"], m["trials"], m["master_seed"]),

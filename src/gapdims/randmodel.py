@@ -1,6 +1,7 @@
 """Random, Cantor, and decreasing arrangements of a gap sequence.
 
-An arrangement of the first 2^W - 1 gaps is a left-to-right ordering of
+An arrangement of the first 2^W - 1 gaps (`check_depth` refuses a W that
+the sequence or the memory cannot supply) is a left-to-right ordering of
 their lengths inside [0, 1].  Removing the placed gaps leaves 2^W slots;
 the un-placed tail mass is distributed over the slots so that total
 length is exactly 1 and every slot keeps a nonnegative share.  The
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from numbers import Integral
 
 import numpy as np
 
@@ -30,16 +32,16 @@ MAX_DEPTH = 26
 
 
 def check_depth(w: int, sequence: GapSequence | None = None) -> None:
-    """Refuse a depth W outside [1, MAX_DEPTH], or one with more than the
-    sequence's gaps to place (2^W - 1)."""
-    if not 1 <= w <= MAX_DEPTH:
-        raise DepthUnsupportedError(f"depth W={w} outside supported range [1, {MAX_DEPTH}]")
+    """The one check of a depth W: an integer in [1, MAX_DEPTH], never a bool,
+    and, given a sequence, no more than its gaps to place (2^W - 1)."""
+    if isinstance(w, bool) or not isinstance(w, Integral) or not 1 <= w <= MAX_DEPTH:
+        raise DepthUnsupportedError(f"depth W must be an integer in [1, {MAX_DEPTH}], got {w!r}")
     if sequence is not None and 2 ** w - 1 > sequence.max_index:
         raise DepthUnsupportedError(
             f"sequence defines {sequence.max_index} gaps, depth {w} needs {2 ** w - 1}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)   # a set compares and hashes by identity
 class ApproxSet:
     """Depth-W approximation of a complementary set under one arrangement:
     its 2^W level-W intervals, stored once.  Gap ``order[p]`` lies between
@@ -51,9 +53,9 @@ class ApproxSet:
     rights: np.ndarray               # right endpoint of level-W interval p
     slot_mass: np.ndarray            # length of slot p
     # window centers picked at each (level n, max_centers)
-    _center_cache: dict = field(default_factory=dict, repr=False, compare=False)
+    _center_cache: dict = field(default_factory=dict, repr=False)
     # exact cover count of each window (x, R, r) resolved on this set
-    _count_cache: dict = field(default_factory=dict, repr=False, compare=False)
+    _count_cache: dict = field(default_factory=dict, repr=False)
 
     @property
     def n_gaps(self) -> int:
@@ -154,21 +156,22 @@ def build_set(sequence: GapSequence, w: int, arrangement: str, seed: int | None 
     return ApproxSet(w=w, order=order, lefts=lefts, rights=rights, slot_mass=slot_mass)
 
 
-def slot_counts(seed: int, w: int, n: int, bounds: tuple[int, ...]) -> np.ndarray:
+def slot_counts(seed: int, n: int, bounds: tuple[int, ...]) -> np.ndarray:
     """Row i: number of gaps with index in [b_0, b_(i+1)) per level-n
-    interval, for bounds 1 <= b_0 <= b_1 <= ... <= 2^w, from one label draw.
+    interval, for bounds 2^n <= b_0 <= b_1 <= ... <= 2^MAX_DEPTH, from one
+    draw of the labels of gaps 1 .. b_last - 1 (counter-based: the same
+    labels as any deeper draw).
 
     A deep gap's level-n interval is the rank of its label among the
     shallow labels omega_j (j < 2^n), so no geometry is built.  The shallow
     labels are sorted as a copy; each range [b_i, b_(i+1)) is a disjoint
     slice of the draw and is sorted in place, once, before ranking.
     """
-    check_depth(w)
-    check_value(n, "level n", 0, w)
+    check_value(n, "level n", 0, MAX_DEPTH)
     check_value(len(bounds), "number of bounds", 2)
     for i, b in enumerate(bounds):
-        check_value(b, f"bound b_{i}", bounds[i - 1] if i else 1, 2 ** w)
-    omega = rng.uniforms(seed, 1, 2 ** w)
+        check_value(b, f"bound b_{i}", bounds[i - 1] if i else 2 ** n, 2 ** MAX_DEPTH)
+    omega = rng.uniforms(seed, 1, bounds[-1])
     shallow = np.sort(omega[: 2 ** n - 1])
     rows = []
     for lo, hi in zip(bounds, bounds[1:]):

@@ -308,3 +308,27 @@ def test_sequence_spec_with_ratios_its_kind_ignores_exits_2(outdir, capsys):
     assert main(["dims", "--seq", "middle-third:0.3", "--out", "z"]) == 2
     assert "middle-third sequence takes no ratios" in _one_error_line(capsys)
     assert not (outdir / "z.json").exists()
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["--seq", "bogus"], "unknown sequence spec 'bogus'"),
+    (["--seq", "middle-third", "--phi", "bogus:1"], "unknown dimension-function spec 'bogus:1'"),
+])
+def test_unknown_spec_exits_2(outdir, capsys, argv, message):
+    assert main(["dims", *argv, "--out", "z"]) == 2
+    assert message in _one_error_line(capsys)
+    assert not (outdir / "z.json").exists()
+
+
+def test_estimate_window_exponents_are_capped_at_one(outdir):
+    # N = 3 balls at R/r = 2.5 gave ln 3 / ln 2.5 = 1.199, above the dimension of the line
+    assert main(["estimate", "--seq", "blocks:0.2,0.4", "--w", "16", "--arrangement", "cantor",
+                 "--direction", "both", "--out", "cap"]) == 0
+    rep = json.loads((outdir / "cap.json").read_text())
+    assert rep["upper"]["beta_hat"] == 1.0
+    assert rep["lower"]["beta_hat"] == pytest.approx(0.651816, abs=1e-6)
+    with open(outdir / "cap.windows-upper.csv") as fh:
+        rows = list(csv.reader(fh))[2:]
+    exponents = [float(row[6]) for row in rows]
+    assert max(exponents) == 1.0 and len(exponents) == 576
+    assert any(int(row[5]) == 3 and float(row[3]) / float(row[4]) < 2.6 for row in rows)

@@ -334,6 +334,25 @@ def test_estimate_dimension_cantor_control():
         assert est.beta_hat == pytest.approx(want, abs=1e-7)
 
 
+def test_estimate_refuses_an_unknown_direction():
+    s = build_set(MID, 8, "cantor")
+    p = level_sums(MID, 20)
+    f = make_dimension_function("zero")
+    with pytest.raises(InvalidRangeError, match="direction must be upper or lower"):
+        estimate_dimension(s, "sideways", f, p, depth_function(f, p, 18), WindowPolicy())
+
+
+@pytest.mark.parametrize("w", [1, 2, 3, 4])
+def test_default_policy_has_no_feasible_level_on_a_shallow_set(w):
+    s = build_set(MID, w, "random", seed=1)
+    p = level_sums(MID, 30)
+    f = make_dimension_function("zero")
+    d = depth_function(f, p, 28)
+    with pytest.raises(NoAdmissibleWindowError,
+                       match="no level has covering radii above the truncation floor"):
+        estimate_dimension(s, "upper", f, p, d, WindowPolicy())
+
+
 def test_estimates_count_each_window_once_per_set(monkeypatch):
     passed = []     # number of windows handed to the kernel, per call
 

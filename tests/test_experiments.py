@@ -13,6 +13,7 @@ from scipy import stats
 
 from gapdims import (
     DepthUnsupportedError,
+    DimensionFunction,
     GapdimsError,
     InvalidRangeError,
     OutOfRegimeError,
@@ -97,6 +98,17 @@ def test_max_load_regime_guards():
         max_load_statistic(MID, 20, 10, 4, 5, 1)  # 2^4 > ln(2^10)
     with pytest.raises(DepthUnsupportedError):
         max_load_statistic(MID, 12, 10, 3, 5, 1)  # W < n + phi_n
+    three = make_sequence("explicit", gaps=[0.5, 0.25, 0.25])
+    with pytest.raises(DepthUnsupportedError, match="sequence defines 3 gaps, depth 14 needs"):
+        max_load_statistic(three, 14, 10, 2, 5, 1)   # counts gaps the sequence lacks
+
+
+@pytest.mark.parametrize("w", [True, 10.5, "14"])
+def test_max_load_and_interval_length_refuse_a_depth_that_is_not_an_integer(w):
+    with pytest.raises(DepthUnsupportedError, match=r"depth W must be an integer in \[1, 26\]"):
+        max_load_statistic(MID, w, 8, 2, 1, 1)
+    with pytest.raises(DepthUnsupportedError, match=r"depth W must be an integer in \[1, 26\]"):
+        interval_length_lemma_check(MID, w, 6, 1, 1)
 
 
 def test_max_load_small_case_reproducible():
@@ -618,7 +630,7 @@ MALFORMED = {
     "max_load phi_n below one": (put("experiments", 1, "phi_n", value=0), "phi_n must be"),
     "max_load W below n + phi_n": (put("experiments", 1, "w", value=9), r"need W >= n \+ phi_n"),
     "max_load beyond the supported depths": (put("experiments", 1, "w", value=27),
-                                             r"w must be an integer in \[1, 26\]"),
+                                             r"depth W must be an integer in \[1, 26\]"),
     "max_load out of regime": (put("experiments", 1, "phi_n", value=3), "not << ln"),
     "interval n without headroom": (put("experiments", 3, "n", value=11),
                                     r"n must be an integer in \[2, 10\]"),
@@ -640,6 +652,10 @@ MALFORMED = {
         chain(short_explicit_sequence, put("experiments", 3, "w", value=18),
               drop("experiments", 1), drop("experiments", 0)),
         "depth 18 needs 262143"),
+    "max_load deeper than an explicit sequence": (
+        chain(short_explicit_sequence, put("experiments", 1, "w", value=18),
+              drop("experiments", 0)),
+        "depth 18 needs 262143"),
 }
 
 
@@ -650,6 +666,16 @@ def no_trials(monkeypatch):
         raise AssertionError("a trial ran before validation finished")
     for module, name in ((randmodel, "build_set"), (rng, "uniforms"), (rng, "bin_indices")):
         monkeypatch.setattr(module, name, trial_ran)
+
+
+def test_tabulated_dimension_function_round_trips_through_its_report():
+    grid = [[1e-6, 0.2], [0.1, 0.5]]
+    manifest = chain(tabulated(grid), drop("experiments", 3), drop("experiments", 2),
+                     drop("experiments", 1))(small_manifest())
+    [result] = run_manifest(manifest)["results"]
+    echo = result["report"]["config"]["dimension_function"]
+    assert echo == {"family": "tabulated", "grid": grid}
+    assert DimensionFunction.from_config(echo) == make_dimension_function("tabulated", grid=grid)
 
 
 def test_small_manifest_is_valid():

@@ -14,8 +14,7 @@ PUBLIC = [
     "empty_bin_probability", "enumerate_windows", "estimate_dimension",
     "interval_length_lemma_check", "level_sums", "lower_phi_dim_formula",
     "make_dimension_function", "make_sequence", "max_load_statistic",
-    "run_dichotomy_experiment", "run_manifest", "slot_counts", "uniforms",
-    "upper_phi_dim_formula",
+    "run_dichotomy_experiment", "run_manifest", "upper_phi_dim_formula",
 ]
 
 # what a set stores: its level-W intervals once, the order and slot masses, two memos

@@ -12,9 +12,9 @@ from gapdims import (
     build_set,
     level_sums,
     make_sequence,
-    slot_counts,
 )
 from gapdims import randmodel, rng
+from gapdims.randmodel import slot_counts
 
 from helpers import (
     cantor_positions,
@@ -229,7 +229,7 @@ def test_rank_slots_equals_geometry():
 def test_slot_counts_equals_bincount_of_ranks():
     w, n, seed = 12, 5, 23
     lo, hi = 2 ** n, 2 ** (n + 3)
-    fast = slot_counts(seed, w, n, (lo, hi))
+    fast = slot_counts(seed, n, (lo, hi))
     slow = np.bincount(rank_slots(seed, w, n, np.arange(lo, hi)), minlength=2 ** n)
     assert fast.shape == (1, 2 ** n)
     assert np.array_equal(fast[0], slow)
@@ -239,7 +239,7 @@ def test_slot_counts_nested_ranges_from_one_draw():
     # each row counts [b_0, b_(i+1)), as if bincounting the ranks of that range
     w, n, seed = 13, 6, 31
     bounds = (2 ** n, 2 ** (n + 2), 2 ** (n + 2), 2 ** (n + 5))
-    rows = slot_counts(seed, w, n, bounds)
+    rows = slot_counts(seed, n, bounds)
     assert rows.shape == (3, 2 ** n)
     for row, hi in zip(rows, bounds[1:]):
         slow = np.bincount(rank_slots(seed, w, n, np.arange(bounds[0], hi)), minlength=2 ** n)
@@ -251,35 +251,48 @@ def test_slot_counts_sorts_the_deep_ranges_in_place():
     # the draw is the only label-sized array: shallow labels and counts are small
     tracemalloc.start()
     try:
-        slot_counts(7, 18, 12, (2 ** 12, 2 ** 14, 2 ** 18))
+        slot_counts(7, 12, (2 ** 12, 2 ** 14, 2 ** 18))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak <= 1.35 * (2 ** 18 - 1) * 8
 
 
-def test_slot_counts_rejects_a_bound_past_the_draw():
-    with pytest.raises(InvalidRangeError):
-        slot_counts(3, 10, 4, (16, 2 ** 12))
+def test_slot_counts_draws_only_the_gaps_it_ranks(monkeypatch):
+    bounds = (2 ** 6, 2 ** 8, 2 ** 9)
+    # the counts of a draw as deep as W = 12: labels are counter-based
+    slow = [np.bincount(rank_slots(5, 12, 6, np.arange(bounds[0], hi)), minlength=2 ** 6)
+            for hi in bounds[1:]]
+    draws, uniforms = [], rng.uniforms
+    monkeypatch.setattr(rng, "uniforms", lambda *args: draws.append(args) or uniforms(*args))
+    assert np.array_equal(slot_counts(5, 6, bounds), slow)
+    assert draws == [(5, 1, 2 ** 9)]
+
+
+def test_slot_counts_rejects_bounds_outside_the_deep_gaps():
+    with pytest.raises(InvalidRangeError, match=r"bound b_0 must be an integer in \[16, "):
+        slot_counts(3, 4, (8, 2 ** 8))       # b_0 < 2^n: a shallow gap
+    with pytest.raises(InvalidRangeError, match=r"bound b_1 must be an integer in \[16, 67108864\]"):
+        slot_counts(3, 4, (16, 2 ** randmodel.MAX_DEPTH + 1))
 
 
 def test_slot_counts_rejects_gap_index_zero():
     with pytest.raises(InvalidRangeError):
-        slot_counts(3, 10, 4, (0, 2 ** 8))
+        slot_counts(3, 4, (0, 2 ** 8))
 
 
 def test_slot_counts_rejects_decreasing_bounds():
     with pytest.raises(InvalidRangeError):
-        slot_counts(3, 10, 4, (2 ** 8, 2 ** 6))
+        slot_counts(3, 4, (2 ** 8, 2 ** 6))
     with pytest.raises(InvalidRangeError):
-        slot_counts(3, 10, 4, (16, 2 ** 8, 2 ** 7, 2 ** 9))
+        slot_counts(3, 4, (16, 2 ** 8, 2 ** 7, 2 ** 9))
 
 
 def test_slot_counts_rejects_a_level_outside_the_draw():
     with pytest.raises(InvalidRangeError):
-        slot_counts(3, 10, 11, (2 ** 4, 2 ** 10))
+        slot_counts(3, 11, (2 ** 4, 2 ** 10))
     with pytest.raises(InvalidRangeError):
-        slot_counts(3, 10, -1, (2 ** 4, 2 ** 10))
+        slot_counts(3, -1, (2 ** 4, 2 ** 10))
 
 
 def test_gap_counts_in_level_intervals():
@@ -318,6 +331,16 @@ def test_depth_and_seed_validation():
         build_set(MID, 5, "spiral")
     with pytest.raises(DepthUnsupportedError):
         build_set(make_sequence("explicit", gaps=[0.5, 0.3, 0.2]), 3, "cantor")
+    for w in (True, 10.5, "14"):
+        with pytest.raises(DepthUnsupportedError, match=r"depth W must be an integer in \[1, 26\]"):
+            build_set(MID, w, "cantor")
+
+
+def test_a_set_compares_and_hashes_by_identity():
+    s = build_set(MID, 6, "random", seed=2)
+    again = build_set(MID, 6, "random", seed=2)
+    assert s == s and s != again and np.array_equal(s.order, again.order)
+    assert {s: 1, again: 2}[s] == 1
 
 
 def test_truncation_floor_scales_with_depth():
