@@ -48,8 +48,7 @@ class FormulaEstimate:
 def _window_extrema(d: DepthTable, n_levels: int, sign: float):
     """Per-k extremum of sign * exponent over admissible n; exact O(N^2) sweep."""
     log_s = d.profile.log_s
-    best_val = {}
-    best_n = {}
+    best = {}                    # k -> (extremal exponent, its n)
     skipped = 0
     k_hi = min(n_levels - 1, d.n_max)
     for k in range(d.n_min, k_hi + 1):
@@ -60,16 +59,15 @@ def _window_extrema(d: DepthTable, n_levels: int, sign: float):
         ns = np.arange(n_lo, n_levels - k + 1)
         expo = ns * _LN2 / (log_s[k] - log_s[k + ns])
         i = int(np.argmax(sign * expo))
-        best_val[k] = float(expo[i])
-        best_n[k] = int(ns[i])
-    return best_val, best_n, skipped
+        best[k] = (float(expo[i]), int(ns[i]))
+    return best, skipped
 
 
 def _formula_estimate(d: DepthTable, n_levels: int, direction: str) -> FormulaEstimate:
     if n_levels > d.profile.n_max:
         raise InsufficientDepthError(f"profile has {d.profile.n_max} levels, need {n_levels}")
     sign = 1.0 if direction == "upper" else -1.0
-    per_k, per_k_n, skipped = _window_extrema(d, n_levels, sign)
+    per_k, skipped = _window_extrema(d, n_levels, sign)
     if not per_k:
         raise NoAdmissibleWindowError("phi(k) exceeds N - k for every level k")
 
@@ -79,20 +77,19 @@ def _formula_estimate(d: DepthTable, n_levels: int, direction: str) -> FormulaEs
         admissible = [k for k in per_k if k >= k0]
         if not admissible:
             break
-        k_star = max(admissible, key=lambda k: (sign * per_k[k], -k))
-        ladder.append((k0, per_k[k_star], k_star))
+        k_star = max(admissible, key=lambda k: (sign * per_k[k][0], -k))
+        ladder.append((k0, per_k[k_star][0], k_star))
         k0 *= 2
     if not ladder:
         raise NoAdmissibleWindowError(f"no admissible window above k0=4 (N={n_levels})")
 
-    beta_limit = ladder[-1][1]
-    argmax_k = ladder[-1][2]
+    _, beta_limit, argmax_k = ladder[-1]
     stability = abs(ladder[-1][1] - ladder[-2][1]) if len(ladder) >= 2 else math.nan
     return FormulaEstimate(
         direction=direction,
         k0_ladder=tuple((k0, b) for k0, b, _ in ladder),
         beta_limit=beta_limit,
-        window_argmax=(argmax_k, per_k_n[argmax_k]),
+        window_argmax=(argmax_k, per_k[argmax_k][1]),
         stability=stability,
         skipped_levels=skipped,
     )

@@ -203,11 +203,19 @@ DEFAULT_GRID = [(256 * 2 ** 8, 8), (512 * 2 ** 8, 8), (1024 * 2 ** 8, 8),
                 (2 ** 13, 5), (2 ** 15, 5)]
 
 
+def grid_entry(text: str) -> tuple[int, int]:
+    try:
+        m, n = (int(v) for v in text.split(":"))
+    except ValueError:
+        raise GapdimsError(f"tailcheck grid entry {text!r} is not M:N, two integers") from None
+    return m, n
+
+
 def cmd_tailcheck(args) -> int:
     if args.grid == "default":
         grid = DEFAULT_GRID
     else:
-        grid = [tuple(int(v) for v in pair.split(":")) for pair in args.grid.split(",")]
+        grid = [grid_entry(pair) for pair in args.grid.split(",")]
     rows = experiments.binomial_tail_check(grid, args.eta)
     ok = all(row["pass"] is not False for row in rows)
     write_json(out_path("", "json", args), {

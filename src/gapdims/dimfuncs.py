@@ -100,12 +100,10 @@ def make_dimension_function(family: str, param=None, grid=None) -> DimensionFunc
         raise OutOfDomainError(f"{family} takes no grid; only tabulated does")
     if param is not None:
         check_value(param, f"{family} parameter", kind=Real)
-    if family in ("constant", "inverse-log", "scaled-psi"):
-        if param is None or param <= 0:
-            raise OutOfDomainError(f"{family} needs a positive parameter")
-    if family == "power-log":
-        if param is None or not (0.0 < param < 1.0):
-            raise OutOfDomainError("power-log exponent must lie in (0, 1)")
+    if family in ("constant", "inverse-log", "scaled-psi") and (param is None or param <= 0):
+        raise OutOfDomainError(f"{family} needs a positive parameter")
+    if family == "power-log" and (param is None or not 0.0 < param < 1.0):
+        raise OutOfDomainError("power-log exponent must lie in (0, 1)")
     if family == "tabulated":
         if not isinstance(grid, (list, tuple)) or len(grid) < 2 or any(
                 not isinstance(pt, (list, tuple)) or len(pt) != 2 for pt in grid):

@@ -71,10 +71,6 @@ def _comparable_profile(a: GapSequence, levels: int, claim: str) -> LevelProfile
     return p
 
 
-def _dichotomy_profile(a: GapSequence) -> LevelProfile:
-    return _comparable_profile(a, N_LEVELS, "dichotomy theorems")
-
-
 def _betas(a, depth, arrangement, seed, runs) -> list[tuple[float, float]]:
     """(upper, lower) estimates of each (f, depth table, policies) run on one
     arrangement of ``a`` at one ladder depth, all on one set and its count memo."""
@@ -131,7 +127,7 @@ def _dichotomy_reports(a: GapSequence, entries: list, w: int, trials: int, maste
     _check_trials(trials, master_seed)
     check_value(workers, "workers", 1)
     check_value(w, "w", *LADDER_W)
-    p = _dichotomy_profile(a)
+    p = _comparable_profile(a, N_LEVELS, "dichotomy theorems")
     box = box_dim_estimate(p)
     depths = (w - 6, w - 3, w)
     runs = [(f, depth_function(f, p, N_LEVELS - 1, clip=True),
@@ -353,7 +349,7 @@ ADOPTED_C = 1.0 / 432.0   # eta^2/3 at eta = 1/12
 
 def binomial_tail_check(grid: list[tuple[int, int]], eta: float) -> list[dict]:
     """Exact binomial tails against the normal-approximation and simple
-    exponential bounds, one record per (M, N) with p = 2^-N.
+    exponential bounds, one record per (M, N), both >= 1, with p = 2^-N.
 
     Two-sided: P(|Y - Mp| >= eta*Mp) <= exp(-eta^2 Mp / 3) / (eta sqrt(Mp)).
     One-sided at eta = 1/12: each tail <= exp(-Mp/432), checked only
@@ -365,6 +361,8 @@ def binomial_tail_check(grid: list[tuple[int, int]], eta: float) -> list[dict]:
         raise InvalidRangeError("eta must be in (0, 1/12]")
     out = []
     for m, n in grid:
+        check_value(m, "M", 1)
+        check_value(n, "N", 1)
         p = 2.0 ** (-n)
         mp = m * p
         row = {"M": m, "N": n, "eta": eta, "Mp": mp}
@@ -486,7 +484,7 @@ def check_thresholds(rules: dict, summaries: list[dict], targets: dict) -> list[
 # frequency >= min_frequency check or None for threshold rules).  Lambdas look their
 # experiment up when called, so a rebound module function (a tracer's wrapper) is the one run.
 MANIFEST_KINDS = {
-    "dichotomy": (None, lambda a, m, e: _dichotomy_profile(a),
+    "dichotomy": (None, lambda a, m, e: _comparable_profile(a, N_LEVELS, "dichotomy theorems"),
                   ("dimension_function", "thresholds"), ("policies",), None),
     "max_load": (lambda a, m, e: max_load_statistic(
                      a, e["w"], e["n"], e["phi_n"], m["trials"], m["master_seed"]),

@@ -55,6 +55,21 @@ def rank_slots(seed: int, w: int, n: int, indices) -> np.ndarray:
     return np.searchsorted(shallow, omega[np.asarray(indices) - 1], side="right")
 
 
+def single_draw_slot_counts(seed: int, n: int, bounds) -> np.ndarray:
+    """``slot_counts`` as one draw of the labels of gaps 1 .. b_last - 1:
+    the shallow labels sorted as a copy, each range sorted in place as a
+    slice of the draw, and the rows summed at the end."""
+    omega = rng.uniforms(seed, 1, bounds[-1])
+    shallow = np.sort(omega[: 2 ** n - 1])
+    rows = []
+    for lo, hi in zip(bounds, bounds[1:]):
+        deep = omega[lo - 1 : hi - 1]
+        deep.sort()
+        ranks = np.searchsorted(deep, shallow, side="right")
+        rows.append(np.diff(ranks, prepend=0, append=deep.size))
+    return np.cumsum(rows, axis=0)
+
+
 def gap_counts_in_level_intervals(s, n: int, level: int) -> np.ndarray:
     """Number of level-``level`` gaps inside each level-n interval, from geometry."""
     assert n < level <= s.w

@@ -189,6 +189,19 @@ def test_tailcheck_skipped_row(outdir, capsys):
     assert capsys.readouterr().out.startswith("[SKIP] M=10 N=4")
 
 
+@pytest.mark.parametrize("grid,named", [
+    ("0:5,-3:2,100:0", "M must be an integer in [1, inf), got 0"),
+    ("100:0", "N must be an integer in [1, inf), got 0"),
+    ("8:3:4", "grid entry '8:3:4' is not M:N"),
+    ("10:4,64", "grid entry '64' is not M:N"),
+    ("10:x", "grid entry '10:x' is not M:N"),
+])
+def test_tailcheck_refuses_a_malformed_grid(outdir, capsys, grid, named):
+    assert main(["tailcheck", "--grid", grid, "--out", "t"]) == 2
+    assert named in _one_error_line(capsys)
+    assert not (outdir / "t.json").exists()
+
+
 def test_experiment_manifest_small(outdir, tmp_path):
     manifest = {
         "schema_version": 1,

@@ -205,6 +205,15 @@ def test_tail_check_skips_out_of_hypothesis_rows():
         binomial_tail_check([(100, 2)], 0.5)  # eta too large
 
 
+@pytest.mark.parametrize("grid,what", [
+    ([(0, 5)], "M"), ([(-3, 2)], "M"), ([(100, 0)], "N"), ([(2 ** 13, 5), (100, -1)], "N"),
+    ([(10.5, 4)], "M"), ([(True, 4)], "M"),
+])
+def test_tail_check_refuses_grid_values_that_are_not_positive_integers(grid, what):
+    with pytest.raises(InvalidRangeError, match=rf"^{what} must be an integer in \[1, inf\)"):
+        binomial_tail_check(grid, 1.0 / 12.0)
+
+
 # -- dichotomy purity --------------------------------------------------------
 
 def small_policies():

@@ -22,6 +22,7 @@ from helpers import (
     omega_labels,
     position_of,
     rank_slots,
+    single_draw_slot_counts,
 )
 
 MID = make_sequence("middle-third")
@@ -266,7 +267,36 @@ def test_slot_counts_draws_only_the_gaps_it_ranks(monkeypatch):
     draws, uniforms = [], rng.uniforms
     monkeypatch.setattr(rng, "uniforms", lambda *args: draws.append(args) or uniforms(*args))
     assert np.array_equal(slot_counts(5, 6, bounds), slow)
-    assert draws == [(5, 1, 2 ** 9)]
+    assert draws == [(5, 1, 2 ** 6), (5, 2 ** 6, 2 ** 8), (5, 2 ** 8, 2 ** 9)]
+
+
+@pytest.mark.parametrize("n,bounds", [
+    (0, (1, 1)), (0, (1, 5, 9)),                      # n = 0: one interval, no shallow labels
+    (3, (8, 20)), (3, (11, 40)),                      # one range; b_0 > 2^n
+    (5, (32, 64, 64, 256)), (4, (100, 100)),          # an empty range
+    (6, (64, 256, 512, 2 ** 12)), (10, (2 ** 11, 2 ** 12, 2 ** 13, 2 ** 14)),
+])
+@pytest.mark.parametrize("seed", [1, 5, 99])
+def test_slot_counts_equals_the_single_draw(seed, n, bounds):
+    fast, slow = slot_counts(seed, n, bounds), single_draw_slot_counts(seed, n, bounds)
+    assert fast.dtype == slow.dtype and fast.shape == slow.shape
+    assert fast.tobytes() == slow.tobytes()
+
+
+def test_slot_counts_holds_one_range_at_a_time():
+    # peak: the largest range, the rows, the shallow labels and one rank array,
+    # plus the draw's block scratch; the whole draw (8 MiB) does not fit
+    n, bounds = 10, (2 ** 10, 2 ** 19, 2 ** 20)
+    slot_counts(3, n, (2 ** n, 2 ** 12))     # warm up outside the trace
+    limit = 8 * (2 ** 19 + (len(bounds) - 1 + 2) * 2 ** n) + 2 ** 20
+    for counts in (slot_counts, single_draw_slot_counts):
+        tracemalloc.start()
+        try:
+            counts(7, n, bounds)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (peak <= limit) == (counts is slot_counts), (counts.__name__, peak, limit)
 
 
 def test_slot_counts_rejects_bounds_outside_the_deep_gaps():
