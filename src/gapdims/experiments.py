@@ -257,13 +257,16 @@ def _check_empty_bin(n_bins_log2: int, balls: int) -> None:
 
 
 def empty_bin_probability(n_bins_log2: int, balls: int, trials: int, master_seed: int) -> dict:
-    """Frequency of at least one empty bin for iid-uniform ball placement."""
+    """Frequency of at least one empty bin for iid-uniform ball placement; a trial
+    marks its balls' bins in one bool table, drawing one ``rng`` block at a time."""
     _check_empty_bin(n_bins_log2, balls)
     bins = 2 ** n_bins_log2
 
     def trial(seed):
-        idx = rng.bin_indices(seed, 0, balls, n_bins_log2)
-        return {"empty": bool(np.bincount(idx, minlength=bins).min() == 0)}
+        seen = np.zeros(bins, dtype=bool)
+        for lo in range(0, balls, rng._BLOCK):
+            seen[rng.bin_indices(seed, lo, min(lo + rng._BLOCK, balls), n_bins_log2)] = True
+        return {"empty": not seen.all()}
 
     rows = _trial_records(trial, trials, master_seed)
     lam = bins * math.exp(-balls / bins)
@@ -349,7 +352,7 @@ ADOPTED_C = 1.0 / 432.0   # eta^2/3 at eta = 1/12
 
 def binomial_tail_check(grid: list[tuple[int, int]], eta: float) -> list[dict]:
     """Exact binomial tails against the normal-approximation and simple
-    exponential bounds, one record per (M, N), both >= 1, with p = 2^-N.
+    exponential bounds, one record per (M, N), with 1 <= M <= 2^MAX_DEPTH, N >= 1, p = 2^-N.
 
     Two-sided: P(|Y - Mp| >= eta*Mp) <= exp(-eta^2 Mp / 3) / (eta sqrt(Mp)).
     One-sided at eta = 1/12: each tail <= exp(-Mp/432), checked only
@@ -359,10 +362,12 @@ def binomial_tail_check(grid: list[tuple[int, int]], eta: float) -> list[dict]:
     """
     if not 0.0 < eta <= 1.0 / 12.0:
         raise InvalidRangeError("eta must be in (0, 1/12]")
-    out = []
     for m, n in grid:
         check_value(m, "M", 1)
         check_value(n, "N", 1)
+        check_value(m, "M", 1, 2 ** randmodel.MAX_DEPTH)   # a tail holds ~52 bytes per count
+    out = []
+    for m, n in grid:
         p = 2.0 ** (-n)
         mp = m * p
         row = {"M": m, "N": n, "eta": eta, "Mp": mp}

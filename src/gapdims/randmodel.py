@@ -123,10 +123,15 @@ def build_set(sequence: GapSequence, w: int, arrangement: str, seed: int | None 
             raise InvalidRangeError("random arrangement requires a seed")
         omega = rng.uniforms(seed, 1, 2 ** w)
         order = _stable_order(omega, w)
-        spacings = np.diff(np.concatenate([[0.0], omega[order], [1.0]]))
+        slot_mass = np.empty(m + 1)   # spacings of 0, the sorted labels and 1, in place
+        np.take(omega, order, out=slot_mass[:-1], mode="clip")   # "clip" takes unbuffered
+        slot_mass[-1] = 1.0
+        slot_mass[1:] = np.subtract(slot_mass[1:], slot_mass[:-1], out=omega)   # into the draw
+        del omega                    # free the draw before the geometry is laid out
         order += 1
-        slot_mass = tail * spacings / spacings.sum()
-        del omega, spacings          # free the draw before the geometry is laid out
+        total = slot_mass.sum()
+        slot_mass *= tail
+        slot_mass /= total
     elif arrangement == "cantor":
         # in-order rank q = (2i + 1) * 2^t of the heap is gap 2^(W - 1 - t) + i
         order = np.empty(m, dtype=np.int64)

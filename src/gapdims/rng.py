@@ -27,13 +27,11 @@ _MASK = 0xFFFFFFFFFFFFFFFF
 _BLOCK = 2 ** 15  # counters per block: 256 KiB of words, within L2 cache
 
 
-def _mixed_words(seed: int, z: np.ndarray) -> np.ndarray:
-    """splitmix64 words of the uint64 counters ``z``, computed in place:
-    ``z`` is consumed and returned, and one scratch array takes the shifts."""
+def _mixed_words(z: np.ndarray) -> np.ndarray:
+    """splitmix64 words of the uint64 states ``z`` = counter * golden + seed, in
+    place: ``z`` is consumed and returned, and one scratch array takes the shifts."""
     t = np.empty_like(z)
     with np.errstate(over="ignore"):
-        z *= np.uint64(_GOLDEN)
-        z += np.uint64(seed & _MASK)
         z ^= np.right_shift(z, np.uint64(30), out=t)
         z *= np.uint64(_MIX1)
         z ^= np.right_shift(z, np.uint64(27), out=t)
@@ -43,19 +41,19 @@ def _mixed_words(seed: int, z: np.ndarray) -> np.ndarray:
 
 
 def derive_seed(master_seed: int, stream_id: int) -> int:
-    """Derive an independent child seed, e.g. one per Monte Carlo trial."""
-    return int(_mixed_words(master_seed, np.array([(stream_id + 1) & _MASK], dtype=np.uint64))[0])
+    """Derive an independent child seed, e.g. one per trial: the master stream's word stream_id + 1."""
+    return int(next(_word_blocks(master_seed, stream_id + 1, np.empty(1, dtype=np.uint64)))[0])
 
 
 def _word_blocks(seed: int, start: int, words: np.ndarray):
-    """Fill the uint64 array ``words`` with the splitmix64 words of counters
-    start, start + 1, ... one block at a time, yielding each block as soon as
-    it is filled, so that the caller finishes it while it is still in cache."""
-    step = np.arange(min(_BLOCK, words.size), dtype=np.uint64)
+    """Fill the uint64 array ``words`` with the splitmix64 words of counters start,
+    start + 1, ... block by block: a block's states are one add to the golden steps
+    i * G, and each block is yielded while in cache, for the caller to finish it."""
+    step = np.arange(min(_BLOCK, words.size), dtype=np.uint64) * np.uint64(_GOLDEN)
     for i in range(0, words.size, _BLOCK):
         block = words[i : i + _BLOCK]
-        np.add(step[: block.size], np.uint64(start + i), out=block)
-        yield _mixed_words(seed, block)
+        np.add(step[: block.size], np.uint64(((start + i) * _GOLDEN + seed) & _MASK), out=block)
+        yield _mixed_words(block)
 
 
 def uniforms(seed: int, start: int, stop: int) -> np.ndarray:

@@ -114,9 +114,11 @@ class GapSequence:
             raise InsufficientDepthError("gap index out of materializable range")
         if not self.rule_based:
             return self.gaps[idx - 1]
-        levels = np.frexp(idx.astype(np.float64))[1]  # bit_length via frexp
-        table = self.level_gap_lengths(int(levels.max()) if idx.size else 1)
-        return table[levels - 1]
+        levels = idx.astype(np.float64).view(np.int64)
+        levels >>= 52        # biased exponent of float(j): bit length of j + 1022
+        levels -= 1022
+        table = np.concatenate([[np.nan], self.level_gap_lengths(int(levels.max(initial=1)))])
+        return np.take(table, levels)
 
     def tail_mass(self, w: int) -> float:
         """sum_{j >= 2^w} a_j = 2^w * s_w."""

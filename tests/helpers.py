@@ -11,6 +11,9 @@ import numpy as np
 
 from gapdims import rng
 
+MASK = 0xFFFFFFFFFFFFFFFF
+GOLDEN = 0x9E3779B97F4A7C15
+
 
 def report_json(report: dict) -> str:
     """A report's bytes as the CLI writes them (sorted, compact)."""
@@ -78,3 +81,67 @@ def gap_counts_in_level_intervals(s, n: int, level: int) -> np.ndarray:
     mids = 0.5 * (s.rights[:-1] + s.lefts[1:])[at_level]   # gap p: rights[p] .. lefts[p + 1]
     slot = np.searchsorted(lefts, mids, side="right") - 1
     return np.bincount(slot, minlength=2 ** n)
+
+
+def counter_words(seed: int, start: int, stop: int) -> np.ndarray:
+    """splitmix64 words of counters start..stop-1 as one full-size array: the
+    counters written, multiplied by the golden step, offset by the seed, then
+    the three xor-shift/multiply rounds, each over the whole array."""
+    z = np.arange(stop - start, dtype=np.uint64)
+    z += np.uint64(start)
+    with np.errstate(over="ignore"):
+        z *= np.uint64(GOLDEN)
+        z += np.uint64(seed & MASK)
+        z ^= z >> np.uint64(30)
+        z *= np.uint64(0xBF58476D1CE4E5B9)
+        z ^= z >> np.uint64(27)
+        z *= np.uint64(0x94D049BB133111EB)
+        z ^= z >> np.uint64(31)
+    return z
+
+
+def bincount_empty_bin(seed: int, n_bins_log2: int, balls: int) -> bool:
+    """One empty-bin trial from every ball's bin label at once and a bincount."""
+    idx = rng.bin_indices(seed, 0, balls, n_bins_log2)
+    return bool(np.bincount(idx, minlength=2 ** n_bins_log2).min() == 0)
+
+
+def frexp_gap_lengths(sequence, indices) -> np.ndarray:
+    """A rule-based sequence's a_j, each level read by ``frexp`` and looked up
+    as ``table[level - 1]``."""
+    idx = np.asarray(indices, dtype=np.int64)
+    levels = np.frexp(idx.astype(np.float64))[1]  # bit_length via frexp
+    table = sequence.level_gap_lengths(int(levels.max()) if idx.size else 1)
+    return table[levels - 1]
+
+
+def reference_set(sequence, w: int, arrangement: str, seed=None) -> tuple:
+    """(order, lefts, rights, slot_mass) of ``build_set``, with the random
+    order by ``np.argsort``, the Cantor order by inverting ``cantor_positions``,
+    the random spacings from a concatenated copy of the sorted labels and
+    ``np.diff``, and the gap lengths by ``frexp_gap_lengths``."""
+    m = 2 ** w - 1
+    tail = sequence.tail_mass(w)
+    if arrangement == "random":
+        omega = omega_labels(seed, w)
+        order = np.argsort(omega, kind="stable")
+        spacings = np.diff(np.concatenate([[0.0], omega[order], [1.0]]))
+        order += 1
+        slot_mass = tail * spacings / spacings.sum()
+    elif arrangement == "cantor":
+        order = np.argsort(cantor_positions(w)) + 1
+        slot_mass = np.full(m + 1, tail / (m + 1))
+    else:
+        order = np.arange(m, 0, -1, dtype=np.int64)
+        slot_mass = np.zeros(m + 1)
+        slot_mass[0] = tail
+    gap_len = (frexp_gap_lengths(sequence, order) if sequence.rule_based
+               else sequence.gaps[order - 1])
+    rights = np.empty(m + 1)
+    np.cumsum(slot_mass[:-1], out=rights[:-1])
+    rights[1:-1] += np.cumsum(gap_len[:-1])
+    rights[-1] = 1.0
+    lefts = np.empty(m + 1)
+    lefts[0] = 0.0
+    np.add(rights[:-1], gap_len, out=lefts[1:])
+    return order, lefts, rights, slot_mass

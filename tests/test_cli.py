@@ -202,6 +202,13 @@ def test_tailcheck_refuses_a_malformed_grid(outdir, capsys, grid, named):
     assert not (outdir / "t.json").exists()
 
 
+def test_tailcheck_refuses_a_count_past_the_deepest_draw(outdir, capsys):
+    # M = 2^32 would need about 200 GiB of log-pmf terms; refused before any is made
+    assert main(["tailcheck", "--grid", "4294967296:1", "--out", "t"]) == 2
+    assert "M must be an integer in [1, 67108864], got 4294967296" in _one_error_line(capsys)
+    assert not (outdir / "t.json").exists()
+
+
 def test_experiment_manifest_small(outdir, tmp_path):
     manifest = {
         "schema_version": 1,

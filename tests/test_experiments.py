@@ -5,6 +5,7 @@ import copy
 import json
 import math
 import os
+import tracemalloc
 from itertools import permutations
 
 import numpy as np
@@ -30,7 +31,7 @@ from gapdims import (
     run_dichotomy_experiment,
     run_manifest,
 )
-from gapdims import randmodel, rng
+from gapdims import experiments, randmodel, rng
 from gapdims.cli import main
 from gapdims.experiments import (
     MANIFEST_KINDS,
@@ -46,7 +47,7 @@ from gapdims.experiments import (
 from gapdims.rng import derive_seed
 from gapdims.sequences import level_sums
 
-from helpers import report_json
+from helpers import bincount_empty_bin, report_json
 
 MID = make_sequence("middle-third")
 
@@ -143,6 +144,43 @@ def test_empty_bin_matches_poisson_prediction():
     assert rep["frequency"] == pytest.approx(rep["poisson_predicted_frequency"], abs=0.1)
 
 
+def _empty_bin_trial(monkeypatch, n_bins_log2, balls):
+    """The trial function that empty_bin_probability hands to its trial loop."""
+    trials = []
+    monkeypatch.setattr(experiments, "_trial_records", lambda trial, *_: trials.append(trial) or [])
+    empty_bin_probability(n_bins_log2, balls, 1, 0)
+    return trials[0]
+
+
+@pytest.mark.parametrize("n_bins_log2,balls,seeds", [
+    (1, 1, range(5)),
+    (4, 3 * 2 ** 15 + 7, range(5)),        # three whole blocks and a remainder
+    (10, 2 ** 15, range(5)),               # exactly one block
+    (20, 5 * 2 ** 20, range(5)),
+    (13, 2 * 2 ** 15 + 8281, range(20)),   # the remainder fills most bins two blocks miss
+])
+def test_empty_bin_trial_equals_the_bincount_oracle(monkeypatch, n_bins_log2, balls, seeds):
+    trial = _empty_bin_trial(monkeypatch, n_bins_log2, balls)
+    got = [trial(seed)["empty"] for seed in seeds]
+    assert got == [bincount_empty_bin(seed, n_bins_log2, balls) for seed in seeds]
+    if n_bins_log2 == 13:
+        assert set(got) == {True, False}   # both outcomes occur, so the check can fail
+
+
+def test_empty_bin_trial_holds_one_byte_per_bin_and_one_block(monkeypatch):
+    trial = _empty_bin_trial(monkeypatch, 20, 5 * 2 ** 20)
+    peaks = []
+    for run in (lambda: trial(3), lambda: bincount_empty_bin(3, 20, 5 * 2 ** 20)):
+        tracemalloc.start()
+        try:
+            run()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    trial_peak, oracle_peak = peaks
+    assert trial_peak < 2 * 2 ** 20 <= oracle_peak
+
+
 # -- interval length lemma ---------------------------------------------------
 
 def test_length_constant_middle_third_is_one():
@@ -212,6 +250,16 @@ def test_tail_check_skips_out_of_hypothesis_rows():
 def test_tail_check_refuses_grid_values_that_are_not_positive_integers(grid, what):
     with pytest.raises(InvalidRangeError, match=rf"^{what} must be an integer in \[1, inf\)"):
         binomial_tail_check(grid, 1.0 / 12.0)
+
+
+def test_tail_check_refuses_a_grid_past_the_deepest_draw_before_any_tail(monkeypatch):
+    # a tail holds about 52 bytes per count 0..M; no experiment draws more than 2^26 labels
+    def no_tail(*args):
+        raise AssertionError("a tail was summed before the grid was checked")
+    monkeypatch.setattr(experiments, "binomial_tail_mass", no_tail)
+    for grid in ([(2 ** 32, 1)], [(2 ** 13, 5), (2 ** randmodel.MAX_DEPTH + 1, 8)]):
+        with pytest.raises(InvalidRangeError, match=r"^M must be an integer in \[1, 67108864\]"):
+            binomial_tail_check(grid, 1.0 / 12.0)
 
 
 # -- dichotomy purity --------------------------------------------------------

@@ -22,6 +22,7 @@ from helpers import (
     omega_labels,
     position_of,
     rank_slots,
+    reference_set,
     single_draw_slot_counts,
 )
 
@@ -185,6 +186,23 @@ def test_build_set_peak_memory_per_gap():
         finally:
             tracemalloc.stop()
         assert peak <= 44 * (2 ** w - 1), arrangement
+
+
+def test_build_set_equals_the_full_size_reference():
+    # the spacings differenced in place and the exponent-field gap lengths lay out
+    # the same bytes as the concatenated copy, np.diff and frexp
+    k = 14
+    levels = np.repeat(np.arange(1, k + 1), 2 ** np.arange(k))
+    explicit = make_sequence("explicit", gaps=np.concatenate(
+        [3.0 ** -levels, np.full(2 ** k, 3.0 ** -k)]).tolist())
+    for a, w_max in ((MID, 20), (make_sequence("central", ratios=[0.2, 0.4], schedule="blocks"), 20),
+                     (explicit, k)):
+        for w in range(1, w_max + 1):
+            for arrangement in ("random", "cantor", "decreasing"):
+                s = build_set(a, w, arrangement, seed=100 + w)
+                want = reference_set(a, w, arrangement, seed=100 + w)
+                for got, ref in zip((s.order, s.lefts, s.rights, s.slot_mass), want):
+                    assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes(), (w, arrangement)
 
 
 def test_a_set_holds_its_geometry_once():

@@ -6,6 +6,8 @@ import numpy as np
 
 from gapdims import rng
 
+from helpers import counter_words
+
 MASK = 0xFFFFFFFFFFFFFFFF
 GOLDEN = 0x9E3779B97F4A7C15
 
@@ -22,7 +24,8 @@ def splitmix64(seed: int, counter: int) -> int:
 
 
 def test_mixed_words_known_answer():
-    words = rng._mixed_words(0, np.array([1, 2, 3], dtype=np.uint64))
+    # the states of counters 1, 2, 3 under seed 0 are the counters times the golden step
+    words = rng._mixed_words(np.array([1, 2, 3], dtype=np.uint64) * np.uint64(GOLDEN))
     assert words.tolist() == list(SPLITMIX64_SEED0)
     assert [splitmix64(0, i) for i in (1, 2, 3)] == list(SPLITMIX64_SEED0)
 
@@ -62,6 +65,20 @@ def test_draws_across_block_boundaries_match_reference():
                     idx = rng.bin_indices(seed, start, start + length, bits)
                     assert idx.dtype == np.int64
                     assert np.array_equal(idx, (words >> np.uint64(64 - bits)).astype(np.int64))
+
+
+def test_draws_equal_the_full_array_words():
+    # one add to the precomputed golden steps per block gives the words of the
+    # counters written, scaled and offset over the whole range at once
+    length = 3 * rng._BLOCK + 5
+    for seed in (-1, 0, 2 ** 64 - 1):
+        for start in (0, 2 ** 40):
+            words = counter_words(seed, start, start + length)
+            assert np.array_equal(rng.uniforms(seed, start, start + length),
+                                  (words >> np.uint64(11)).astype(np.float64) * 2.0 ** -53)
+            for bits in (1, 20, 63):
+                assert np.array_equal(rng.bin_indices(seed, start, start + length, bits),
+                                      (words >> np.uint64(64 - bits)).astype(np.int64))
 
 
 def test_uniforms_allocate_little_beyond_their_output():

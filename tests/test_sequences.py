@@ -16,6 +16,8 @@ from gapdims import (
 )
 from gapdims.sequences import _ratio_table
 
+from helpers import frexp_gap_lengths
+
 
 def cantor_gaps(ratios, n_levels):
     """Brute-force gap list for a ratio schedule (independent of the closed form)."""
@@ -45,6 +47,17 @@ def test_central_gap_lengths_match_brute_force():
     want = cantor_gaps(0.25, 8)
     got = a.gap_lengths(np.arange(1, 2 ** 8))
     assert np.allclose(got, want, rtol=1e-13)
+
+
+def test_gap_lengths_read_levels_from_the_exponent_field():
+    # the biased exponent of float(j) and a NaN-headed table give frexp's levels and values
+    powers = [2 ** k - 1 for k in range(1, 53)] + [2 ** k for k in range(53)]
+    for a in (make_sequence("middle-third"),
+              make_sequence("central", ratios=[0.2, 0.4], schedule="blocks")):
+        for idx in (np.arange(1, 2 ** 20 + 1), np.array(powers, dtype=np.int64),
+                    np.array([], dtype=np.int64)):
+            got, want = a.gap_lengths(idx), frexp_gap_lengths(a, idx)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def test_periodic_schedule_level_sums():
