@@ -148,9 +148,9 @@ def build_set(sequence: GapSequence, w: int, arrangement: str, seed: int | None 
     # slot p | gap p | slot p+1 | gap p+1 | ... ; endpoints by prefix sums, in place
     rights = np.empty(m + 1)
     np.cumsum(slot_mass[:-1], out=rights[:-1])
-    rights[1:-1] += np.cumsum(gap_len[:-1])
-    rights[-1] = 1.0
     lefts = np.empty(m + 1)
+    rights[1:-1] += np.cumsum(gap_len[:-1], out=lefts[2:])   # lefts is scratch until laid out
+    rights[-1] = 1.0
     lefts[0] = 0.0
     np.add(rights[:-1], gap_len, out=lefts[1:])
     return ApproxSet(w=w, order=order, lefts=lefts, rights=rights, slot_mass=slot_mass)

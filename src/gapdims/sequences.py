@@ -114,11 +114,11 @@ class GapSequence:
             raise InsufficientDepthError("gap index out of materializable range")
         if not self.rule_based:
             return self.gaps[idx - 1]
-        levels = idx.astype(np.float64).view(np.int64)
-        levels >>= 52        # biased exponent of float(j): bit length of j + 1022
-        levels -= 1022
+        levels = (idx * 2.0 ** -1022).view(np.int64)   # exact: a normal float64 for j >= 1
+        levels >>= 52        # biased exponent of float(j) * 2^-1022: the bit length of j
         table = np.concatenate([[np.nan], self.level_gap_lengths(int(levels.max(initial=1)))])
-        return np.take(table, levels)
+        # each level is read before its slot is written: the lengths overwrite their levels
+        return np.take(table, levels, out=levels.view(np.float64), mode="clip")
 
     def tail_mass(self, w: int) -> float:
         """sum_{j >= 2^w} a_j = 2^w * s_w."""
