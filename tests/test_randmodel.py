@@ -189,8 +189,8 @@ def test_build_set_peak_memory_per_gap():
 
 
 def test_build_set_equals_the_full_size_reference():
-    # the spacings differenced in place and the exponent-field gap lengths lay out
-    # the same bytes as the concatenated copy, np.diff and frexp
+    # the spacings differenced in place, the exponent-field gap lengths and the prefix
+    # sum taken in the lefts buffer lay out the same bytes as np.diff, frexp and a copy
     k = 14
     levels = np.repeat(np.arange(1, k + 1), 2 ** np.arange(k))
     explicit = make_sequence("explicit", gaps=np.concatenate(

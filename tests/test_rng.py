@@ -6,10 +6,7 @@ import numpy as np
 
 from gapdims import rng
 
-from helpers import counter_words
-
-MASK = 0xFFFFFFFFFFFFFFFF
-GOLDEN = 0x9E3779B97F4A7C15
+from helpers import GOLDEN, MASK, counter_words
 
 # published splitmix64 outputs for seed 0
 SPLITMIX64_SEED0 = (0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F)
