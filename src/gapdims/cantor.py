@@ -32,7 +32,7 @@ class FormulaEstimate:
     k0_ladder: tuple[tuple[int, float], ...]
     beta_limit: float
     window_argmax: tuple[int, int]       # (k, n) attaining the extremum at deepest k0
-    stability: float                     # |beta(k0_max) - beta(k0_max/2)|
+    stability: float | None              # |beta(k0_max) - beta(k0_max/2)|, None on one rung
     skipped_levels: int                  # k with no admissible n (phi(k) > N - k)
 
     def to_record(self) -> dict:
@@ -84,7 +84,7 @@ def _formula_estimate(d: DepthTable, n_levels: int, direction: str) -> FormulaEs
         raise NoAdmissibleWindowError(f"no admissible window above k0=4 (N={n_levels})")
 
     _, beta_limit, argmax_k = ladder[-1]
-    stability = abs(ladder[-1][1] - ladder[-2][1]) if len(ladder) >= 2 else math.nan
+    stability = abs(ladder[-1][1] - ladder[-2][1]) if len(ladder) >= 2 else None
     return FormulaEstimate(
         direction=direction,
         k0_ladder=tuple((k0, b) for k0, b, _ in ladder),

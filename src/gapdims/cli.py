@@ -79,9 +79,9 @@ def out_path(name: str, ext: str, args) -> str:
 def write_json(path: str, payload: dict) -> None:
     payload = dict(payload)
     payload["schema_version"] = experiments.SCHEMA_VERSION
-    with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
+    text = json.dumps(payload, sort_keys=True, separators=(",", ":"), allow_nan=False)
+    with open(path, "w") as fh:   # a NaN or infinity raises before the file is made
+        fh.write(text + "\n")
 
 
 def write_csv(path: str, header: list[str], rows) -> None:

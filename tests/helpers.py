@@ -145,3 +145,19 @@ def reference_set(sequence, w: int, arrangement: str, seed=None) -> tuple:
     lefts[0] = 0.0
     np.add(rights[:-1], gap_len, out=lefts[1:])
     return order, lefts, rights, slot_mass
+
+
+def exact_binomial_tail(m: int, n: int, lo, hi) -> float:
+    """P(Y <= lo) + P(Y >= hi) for Y ~ Binomial(m, 2^-n), correctly rounded from
+    integers: with q = 2^n, q^m P(Y = k) = C(m, k) (q - 1)^(m - k), each term
+    from the one before it, and an upper tail is q^m minus the lower sum below
+    ``hi``.  ``lo``/``hi`` of None, or outside [0, m], follow `binomial_tail_mass`."""
+    q = 2 ** n
+    lo = -1 if lo is None else min(lo, m)
+    hi = m + 1 if hi is None else max(hi, 0)
+    term, below_lo, below_hi = (q - 1) ** m, 0, 0
+    for k in range(max(lo + 1, hi)):
+        below_lo += term if k <= lo else 0
+        below_hi += term if k < hi else 0
+        term = term * (m - k) // ((k + 1) * (q - 1))
+    return (below_lo + (q ** m - below_hi if hi <= m else 0)) / q ** m

@@ -7,7 +7,7 @@ import math
 import pytest
 
 from gapdims import experiments
-from gapdims.cli import main, parse_phi, parse_sequence
+from gapdims.cli import main, parse_phi, parse_sequence, write_json
 
 
 @pytest.fixture
@@ -189,6 +189,30 @@ def test_tailcheck_skipped_row(outdir, capsys):
     assert capsys.readouterr().out.startswith("[SKIP] M=10 N=4")
 
 
+def _strict_json(path):
+    def refuse(constant):
+        raise ValueError(f"{path.name} holds {constant}, which strict JSON has no token for")
+    return json.loads(path.read_text(), parse_constant=refuse)
+
+
+@pytest.mark.parametrize("argv,nulls", [
+    (["tailcheck", "--grid", "10:4"], lambda rep: [rep["rows"][0][key] for key in (
+        "exact_two_sided_tail", "exact_upper_tail", "exact_lower_tail", "dml_bound",
+        "corollary_bound", "pass")]),
+    (["dims", "--seq", "middle-third", "--levels", "20"],   # a one-rung k0 ladder
+     lambda rep: [rep["upper"]["stability"], rep["lower"]["stability"]]),
+], ids=["skipped_tail_row", "one_rung_ladder"])
+def test_skipped_values_are_null_in_strict_json(outdir, argv, nulls):
+    assert main([*argv, "--out", "s"]) == 0
+    assert all(value is None for value in nulls(_strict_json(outdir / "s.json")))
+
+
+def test_write_json_refuses_nan_before_making_the_file(tmp_path):
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        write_json(str(tmp_path / "x.json"), {"value": math.nan})
+    assert not (tmp_path / "x.json").exists()
+
+
 @pytest.mark.parametrize("grid,named", [
     ("0:5,-3:2,100:0", "M must be an integer in [1, inf), got 0"),
     ("100:0", "N must be an integer in [1, inf), got 0"),
@@ -203,7 +227,7 @@ def test_tailcheck_refuses_a_malformed_grid(outdir, capsys, grid, named):
 
 
 def test_tailcheck_refuses_a_count_past_the_deepest_draw(outdir, capsys):
-    # M = 2^32 would need about 200 GiB of log-pmf terms; refused before any is made
+    # no experiment draws more than 2^26 labels; M = 2^32 is refused before any tail
     assert main(["tailcheck", "--grid", "4294967296:1", "--out", "t"]) == 2
     assert "M must be an integer in [1, 67108864], got 4294967296" in _one_error_line(capsys)
     assert not (outdir / "t.json").exists()

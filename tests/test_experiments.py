@@ -37,6 +37,7 @@ from gapdims.experiments import (
     MANIFEST_KINDS,
     SCHEMA_VERSION,
     TARGETS,
+    binomial_tail_mass,
     check_thresholds,
     critical_load,
     length_constant,
@@ -47,7 +48,7 @@ from gapdims.experiments import (
 from gapdims.rng import derive_seed
 from gapdims.sequences import level_sums
 
-from helpers import bincount_empty_bin, report_json
+from helpers import bincount_empty_bin, exact_binomial_tail, report_json
 
 MID = make_sequence("middle-third")
 
@@ -212,13 +213,44 @@ def test_experiments_check_trials_and_master_seed(experiment, trials, master_see
 # -- binomial tails ----------------------------------------------------------
 
 def test_exact_tail_matches_scipy():
-    from gapdims.experiments import binomial_tail_mass
     m, p = 5000, 1.0 / 32.0
     lo, hi = 130, 180
     want = stats.binom.cdf(lo, m, p) + stats.binom.sf(hi - 1, m, p)
     assert binomial_tail_mass(m, p, lo, hi) == pytest.approx(want, rel=1e-9)
     assert binomial_tail_mass(m, p, None, hi) == pytest.approx(
         stats.binom.sf(hi - 1, m, p), rel=1e-9)
+
+
+@pytest.mark.parametrize("m,n", [(3000, 2), (4096, 3), (2 ** 13, 5), (16384, 6)])
+def test_tail_mass_is_exact_to_rounding(m, n):
+    # the two-sided, upper and lower tails that binomial_tail_check sums at eta = 1/12
+    mp = m * 2.0 ** -n
+    two_sided = (math.floor(11 / 12 * mp + 1e-9), math.ceil(13 / 12 * mp - 1e-9))
+    for lo, hi in (two_sided, (None, two_sided[1]), (two_sided[0], None)):
+        want = exact_binomial_tail(m, n, lo, hi)
+        assert binomial_tail_mass(m, 2.0 ** -n, lo, hi) == pytest.approx(want, rel=1e-14, abs=0)
+
+
+@pytest.mark.parametrize("lo,hi,adds", [
+    (None, None, 0.0), (-1, None, 0.0), (None, 41, 0.0), (-3, 44, 0.0),
+    (40, None, 1.0), (45, None, 1.0), (None, 0, 1.0), (None, -2, 1.0), (45, -2, 2.0),
+])
+def test_tail_mass_edge_bounds(lo, hi, adds):
+    # lo of None or below 0 and hi of None or above M add 0; lo >= M and hi <= 0 add 1
+    assert binomial_tail_mass(40, 0.25, lo, hi) == adds
+    assert exact_binomial_tail(40, 2, lo, hi) == adds
+
+
+def test_tail_mass_memory_does_not_grow_with_m():
+    import scipy.special   # noqa: F401  imported first: the import alone traces ~14 MiB
+
+    tracemalloc.start()
+    try:
+        binomial_tail_mass(2 ** 26, 0.5, 2 ** 25 - 8192, 2 ** 25 + 8192)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
 
 
 def test_tail_check_example_values():
@@ -253,7 +285,7 @@ def test_tail_check_refuses_grid_values_that_are_not_positive_integers(grid, wha
 
 
 def test_tail_check_refuses_a_grid_past_the_deepest_draw_before_any_tail(monkeypatch):
-    # a tail holds about 52 bytes per count 0..M; no experiment draws more than 2^26 labels
+    # no experiment draws more than 2^26 labels, so no tail past M = 2^26 is checked
     def no_tail(*args):
         raise AssertionError("a tail was summed before the grid was checked")
     monkeypatch.setattr(experiments, "binomial_tail_mass", no_tail)
