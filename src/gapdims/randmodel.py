@@ -68,8 +68,8 @@ class ApproxSet:
         arrays themselves.  Degenerate intervals (zero length) are
         legitimate and kept.
         """
-        if not 0 <= n <= self.w:
-            raise DepthUnsupportedError(f"level {n} outside [0, {self.w}]")
+        if isinstance(n, bool) or not isinstance(n, Integral) or not 0 <= n <= self.w:
+            raise DepthUnsupportedError(f"level must be an integer in [0, {self.w}], got {n!r}")
         if n == self.w:
             return self.lefts, self.rights
         at = np.flatnonzero(self.order < 2 ** n)   # positions of the shallow gaps

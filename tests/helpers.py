@@ -1,15 +1,18 @@
 """Test-side views that the package itself never needs.
 
 Each one recomputes a quantity from the public fields of an arrangement,
-from the label stream or from a report, so tests can cross-check the
-package's shortcuts against plain geometry and compare reports as bytes.
+from a list of segments, from the label stream or from a report, so tests
+can cross-check the package's shortcuts against plain geometry and compare
+reports as bytes.
 """
 
 import json
+import math
 
 import numpy as np
 
 from gapdims import rng
+from gapdims.covering import _cover_counts
 
 MASK = 0xFFFFFFFFFFFFFFFF
 GOLDEN = 0x9E3779B97F4A7C15
@@ -161,3 +164,70 @@ def exact_binomial_tail(m: int, n: int, lo, hi) -> float:
         below_hi += term if k < hi else 0
         term = term * (m - k) // ((k + 1) * (q - 1))
     return (below_lo + (q ** m - below_hi if hi <= m else 0)) / q ** m
+
+
+def _greedy_count(lefts, rights, lo: float, hi: float, r: float) -> int:
+    """Serial greedy oracle: one window, one Python pass over its segments."""
+    i0 = int(np.searchsorted(rights, lo, side="left"))
+    i1 = int(np.searchsorted(lefts, hi, side="right"))
+    if i0 >= i1:
+        return 0
+    seg_l = np.maximum(lefts[i0:i1], lo).tolist()
+    seg_r = np.minimum(rights[i0:i1], hi).tolist()
+    width = 2.0 * r
+    count = 0
+    covered = -math.inf
+    for sl, sr in zip(seg_l, seg_r):
+        if sr <= covered:
+            continue
+        start = sl if sl > covered else covered
+        need = sr - start
+        balls = 1 if need <= 0 else math.ceil(need / width - 1e-12)
+        count += balls
+        covered = start + balls * width
+    return count
+
+
+def batched_counts(lefts, rights, windows):
+    """Kernel counts of (lo, hi, r) windows, all resolved in one call."""
+    lo, hi, r = (np.array(col, dtype=float) for col in zip(*windows))
+    return _cover_counts(lefts, rights, lo, hi, r).tolist()
+
+
+def exhaustive_cover(segs, lo, hi, r, budget):
+    """Branch-and-bound minimal 2r-cover of the clipped segment union.
+
+    At each step the next ball must cover the leftmost uncovered point q,
+    so its left endpoint lies in [q - 2r, q]; we branch over every
+    geometrically distinct candidate in that range (q itself plus any
+    segment endpoint event), not just the greedy choice.  Returns the best
+    count found below ``budget``, or ``budget`` if nothing beats it.
+    """
+    width = 2.0 * r
+    clipped = [(max(a, lo), min(b, hi)) for a, b in segs if min(b, hi) >= max(a, lo)]
+    events = sorted({v for a, b in clipped for v in (a, b)})
+
+    best = [budget]
+
+    def first_uncovered(cov):
+        for a, b in clipped:
+            if b > cov + 1e-15:
+                return max(a, cov)
+        return None
+
+    def rec(cov, used):
+        if used >= best[0]:
+            return
+        q = first_uncovered(cov)
+        if q is None:
+            best[0] = used
+            return
+        cands = {q}
+        cands.update(e for e in events if q - width <= e <= q)
+        cands.update(e - width for e in events if q <= e - width <= q)
+        for left in sorted(cands, reverse=True):
+            if left <= q <= left + width:
+                rec(left + width, used + 1)
+
+    rec(-math.inf, 0)
+    return best[0]

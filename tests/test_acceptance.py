@@ -35,8 +35,7 @@ from gapdims import (
 from gapdims.covering import WindowPolicy
 from gapdims.rng import derive_seed
 
-from helpers import report_json
-from test_covering import _greedy_count, batched_counts, exhaustive_cover
+from helpers import _greedy_count, batched_counts, exhaustive_cover, report_json
 
 LN2 = math.log(2.0)
 MID = make_sequence("middle-third")

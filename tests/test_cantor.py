@@ -2,7 +2,6 @@
 
 import math
 
-import numpy as np
 import pytest
 
 from gapdims import (
@@ -41,19 +40,6 @@ def test_geometric_schedule_is_exact():
         want = LN2 / abs(math.log(r))
         assert up.beta_limit == pytest.approx(want, abs=1e-12)
         assert lo.beta_limit == pytest.approx(want, abs=1e-12)
-
-
-def test_block_schedule_directions_split():
-    # dyadic blocks of 0.2 / 0.45: deep windows can sit entirely inside
-    # one block, so upper sees the 0.45 rate and lower the 0.2 rate
-    a = make_sequence("central", ratios=[0.2, 0.45], schedule="blocks")
-    p = level_sums(a, 128)
-    f = make_dimension_function("constant", 0.5)
-    d = depth_function(f, p, 85, clip=True)
-    up = upper_phi_dim_formula(d, 128)
-    lo = lower_phi_dim_formula(d, 128)
-    assert up.beta_limit == pytest.approx(LN2 / abs(math.log(0.45)), abs=5e-3)
-    assert lo.beta_limit == pytest.approx(LN2 / abs(math.log(0.2)), abs=5e-3)
 
 
 def test_formula_matches_brute_force():

@@ -23,93 +23,9 @@ from gapdims import covering
 from gapdims.cli import main
 from gapdims.covering import _cover_counts, _lockstep_counts
 
+from helpers import _greedy_count, batched_counts, exhaustive_cover
+
 MID = make_sequence("middle-third")
-
-
-def _greedy_count(lefts, rights, lo: float, hi: float, r: float) -> int:
-    """Serial greedy oracle: one window, one Python pass over its segments."""
-    i0 = int(np.searchsorted(rights, lo, side="left"))
-    i1 = int(np.searchsorted(lefts, hi, side="right"))
-    if i0 >= i1:
-        return 0
-    seg_l = np.maximum(lefts[i0:i1], lo).tolist()
-    seg_r = np.minimum(rights[i0:i1], hi).tolist()
-    width = 2.0 * r
-    count = 0
-    covered = -math.inf
-    for sl, sr in zip(seg_l, seg_r):
-        if sr <= covered:
-            continue
-        start = sl if sl > covered else covered
-        need = sr - start
-        balls = 1 if need <= 0 else math.ceil(need / width - 1e-12)
-        count += balls
-        covered = start + balls * width
-    return count
-
-
-def batched_counts(lefts, rights, windows):
-    """Kernel counts of (lo, hi, r) windows, all resolved in one call."""
-    lo, hi, r = (np.array(col, dtype=float) for col in zip(*windows))
-    return _cover_counts(lefts, rights, lo, hi, r).tolist()
-
-
-def exhaustive_cover(segs, lo, hi, r, budget):
-    """Branch-and-bound minimal 2r-cover of the clipped segment union.
-
-    At each step the next ball must cover the leftmost uncovered point q,
-    so its left endpoint lies in [q - 2r, q]; we branch over every
-    geometrically distinct candidate in that range (q itself plus any
-    segment endpoint event), not just the greedy choice.  Returns the best
-    count found below ``budget``, or ``budget`` if nothing beats it.
-    """
-    width = 2.0 * r
-    clipped = [(max(a, lo), min(b, hi)) for a, b in segs if min(b, hi) >= max(a, lo)]
-    events = sorted({v for a, b in clipped for v in (a, b)})
-
-    best = [budget]
-
-    def first_uncovered(cov):
-        for a, b in clipped:
-            if b > cov + 1e-15:
-                return max(a, cov)
-        return None
-
-    def rec(cov, used):
-        if used >= best[0]:
-            return
-        q = first_uncovered(cov)
-        if q is None:
-            best[0] = used
-            return
-        cands = {q}
-        cands.update(e for e in events if q - width <= e <= q)
-        cands.update(e - width for e in events if q <= e - width <= q)
-        for left in sorted(cands, reverse=True):
-            if left <= q <= left + width:
-                rec(left + width, used + 1)
-
-    rec(-math.inf, 0)
-    return best[0]
-
-
-def test_greedy_equals_exhaustive_random_instances():
-    rng = np.random.default_rng(2024)
-    mismatches = 0
-    for _ in range(1000):
-        n_seg = rng.integers(1, 11)
-        pts = np.sort(rng.random(2 * n_seg))
-        lefts, rights = pts[0::2].copy(), pts[1::2].copy()
-        lo, hi = -0.1, 1.1
-        r = float(rng.uniform(0.02, 0.3))
-        greedy = _greedy_count(lefts, rights, lo, hi, r)
-        # greedy itself is a valid cover; the oracle hunts for a strictly
-        # smaller one over the full branch tree
-        exact = exhaustive_cover(list(zip(lefts, rights)), lo, hi, r, budget=greedy)
-        batched = batched_counts(lefts, rights, [(lo, hi, r)])[0]
-        if not greedy == batched == exact:
-            mismatches += 1
-    assert mismatches == 0
 
 
 def test_greedy_handles_exact_multiples():
@@ -448,4 +364,6 @@ def test_no_admissible_window_when_too_deep():
     # level 7 ladder at depth 8 dives straight below the truncation floor
     with pytest.raises(NoAdmissibleWindowError):
         enumerate_windows(s, d, WindowPolicy(n_values=(7,), k_min=3, k_max=5))
+    with pytest.raises(InvalidRangeError, match="window level 9 outside phi table or depth"):
+        enumerate_windows(s, d, WindowPolicy(n_values=(9,), k_min=3, k_max=5))
 

@@ -59,21 +59,6 @@ def test_factory_rejects_bad_params():
         make_dimension_function("tabulated", grid=[(1e-2, 5.0), (1e-3, 0.0), (1e-8, 0.0)])
 
 
-def test_constant_depth_is_exact_ceiling():
-    # s_n = r^n, threshold s_n^(1+d) = r^(n(1+d)) -> phi(n) = ceil(d*n)
-    p = level_sums(MID, 400)
-    for delta in (0.5, 1.0):
-        d = depth_function(make_dimension_function("constant", delta), p, 200)
-        for n in range(d.n_min, 201):
-            assert d.phi(n) == math.ceil(delta * n), (delta, n)
-
-
-def test_zero_depth_is_zero():
-    p = level_sums(MID, 128)
-    d = depth_function(make_dimension_function("zero"), p, 128)
-    assert np.all(d.phi_values == 0)
-
-
 def test_inverse_log_depth_is_bounded():
     # phi(n) = ceil(n * c/(n ln 3) ) = ceil(c / ln 3), constant in n
     p = level_sums(MID, 128)

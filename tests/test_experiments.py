@@ -6,7 +6,6 @@ import json
 import math
 import os
 import tracemalloc
-from itertools import permutations
 
 import numpy as np
 import pytest
@@ -51,37 +50,6 @@ from gapdims.sequences import level_sums
 from helpers import bincount_empty_bin, exact_binomial_tail, report_json
 
 MID = make_sequence("middle-third")
-
-
-# -- permutation law ---------------------------------------------------------
-
-def test_restriction_to_three_gaps_is_uniform():
-    # relative order of gaps 1..3 should hit all 6 permutations uniformly
-    perms = list(permutations((1, 2, 3)))
-    counts = dict.fromkeys(perms, 0)
-    trials = 60000
-    for t in range(trials):
-        order = build_set(MID, 2, "random", seed=derive_seed(31, t)).order  # 3 gaps
-        counts[tuple(order)] += 1
-    chi2, pval = stats.chisquare(list(counts.values()))
-    assert pval > 0.001, (counts, pval)
-
-
-def test_disjoint_blocks_are_independent():
-    # relative order within {1,2,3} vs within {4,5,6}: 6 x 6 contingency
-    perms = {p: i for i, p in enumerate(permutations(range(3)))}
-    table = np.zeros((6, 6), dtype=np.int64)
-    trials = 60000
-    for t in range(trials):
-        order = build_set(MID, 3, "random", seed=derive_seed(77, t)).order  # 7 gaps
-        pos = np.empty(7, dtype=np.int64)
-        pos[order - 1] = np.arange(7)
-        a = tuple(np.argsort(np.argsort(pos[0:3])))
-        b = tuple(np.argsort(np.argsort(pos[3:6])))
-        table[perms[a], perms[b]] += 1
-    chi2, pval, dof, _ = stats.chi2_contingency(table)
-    assert dof == 25
-    assert pval > 0.001, pval
 
 
 # -- max load ----------------------------------------------------------------
@@ -308,13 +276,6 @@ def test_dichotomy_pure_function_of_seed():
     assert report_json(r1) == report_json(r2)
     r3 = run_dichotomy_experiment(MID, f, 14, 4, 78, small_policies())
     assert report_json(r1) != report_json(r3)
-
-
-def test_dichotomy_parallel_is_byte_identical():
-    f = make_dimension_function("constant", 0.5)
-    serial = run_dichotomy_experiment(MID, f, 14, 4, 77, small_policies())
-    threaded = run_dichotomy_experiment(MID, f, 14, 4, 77, small_policies(), workers=3)
-    assert report_json(serial) == report_json(threaded)
 
 
 def test_dichotomy_per_trial_sandwich():

@@ -19,7 +19,7 @@ from gapdims import (
 from gapdims import covering, dimfuncs
 from gapdims.covering import _cover_counts, _lockstep_counts
 
-from test_covering import _greedy_count
+from helpers import _greedy_count
 
 ratios = st.floats(min_value=0.05, max_value=0.45)
 

@@ -157,6 +157,14 @@ def test_level_intervals_nest():
     assert len(s.level_intervals(9)[0]) == 2 ** 9
 
 
+def test_level_intervals_refuse_a_level_that_is_not_an_integer_in_range():
+    s = build_set(MID, 8, "random", seed=3)
+    for n in (-1, 9, True, 2.0):
+        with pytest.raises(DepthUnsupportedError, match=r"level must be an integer in \[0, 8\]"):
+            s.level_intervals(n)
+    assert len(s.level_intervals(np.int64(2))[0]) == 4
+
+
 def test_level_intervals_read_from_the_stored_intervals():
     # the old gap-endpoint formulas: gap p spans [gap_left[p], gap_left[p] + a_order[p]]
     w = 7
