@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dimfuncs import DepthTable
-from .errors import InsufficientDepthError, NoAdmissibleWindowError
+from .errors import InsufficientDepthError, NoAdmissibleWindowError, check_value
 from .sequences import LevelProfile
 
 _LN2 = math.log(2.0)
@@ -64,8 +64,7 @@ def _window_extrema(d: DepthTable, n_levels: int, sign: float):
 
 
 def _formula_estimate(d: DepthTable, n_levels: int, direction: str) -> FormulaEstimate:
-    if n_levels > d.profile.n_max:
-        raise InsufficientDepthError(f"profile has {d.profile.n_max} levels, need {n_levels}")
+    check_value(n_levels, "n_levels", 1, d.profile.n_max, error=InsufficientDepthError)
     sign = 1.0 if direction == "upper" else -1.0
     per_k, skipped = _window_extrema(d, n_levels, sign)
     if not per_k:

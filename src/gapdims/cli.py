@@ -94,10 +94,12 @@ def write_csv(path: str, header: list[str], rows) -> None:
 
 def config_flags(args) -> list[str]:
     """The ``--config`` file's keys as ``--key=value`` flags (a string as it
-    is, any other value as JSON); a key that names no option is an error."""
+    is, any other value as JSON); a key that names no option is an error.
+    Every option's first flag is ``--<dest>``, so the parsed names are the keys."""
+    options = set(vars(args)) - {"command", "config", "func"}
     with open(args.config) as fh:
-        cfg = check_keys(json.load(fh), f"config file {args.config}", optional=args.options)
-    return [f"{args.options[key]}={value if isinstance(value, str) else json.dumps(value)}"
+        cfg = check_keys(json.load(fh), f"config file {args.config}", optional=options)
+    return [f"--{key}={value if isinstance(value, str) else json.dumps(value)}"
             for key, value in cfg.items()]
 
 
@@ -243,8 +245,6 @@ def build_parser() -> argparse.ArgumentParser:
         if config:
             p.add_argument("--config", help="JSON file of option values, each read as "
                            "--key=value before the flags, which win")
-            p.set_defaults(options={a.dest: a.option_strings[0] for a in p._actions
-                                    if a.dest not in ("help", "config")})
 
     p = sub.add_parser("dims", help="formula dimensions of the rule-based set")
     p.add_argument("--seq"); p.add_argument("--phi", default="zero")

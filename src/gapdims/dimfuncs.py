@@ -164,8 +164,7 @@ class DepthTable:
         return "indeterminate"
 
     def phi(self, n: int) -> int:
-        if not (self.n_min <= n <= self.n_max):
-            raise OutOfDomainError(f"phi({n}) outside [{self.n_min}, {self.n_max}]")
+        check_value(n, "phi level n", self.n_min, self.n_max, error=OutOfDomainError)
         return int(self.phi_values[n - self.n_min])
 
 
@@ -177,13 +176,12 @@ def depth_function(f: DimensionFunction, p: LevelProfile, n_max: int,
     with ``clip=True`` the table is instead truncated at the deepest
     resolvable n rather than raising.
     """
+    check_value(n_max, "n_max", 0, p.n_max, error=InsufficientDepthError)
     log_s = p.log_s
     ceiling_log = min(math.log(0.5), math.log(f.domain_ceiling))
     n_min = int(np.searchsorted(-log_s, -ceiling_log, side="right"))
     if n_min > n_max:
         raise InsufficientDepthError("no levels with s_n below the domain ceiling")
-    if n_max >= len(log_s):
-        raise InsufficientDepthError(f"profile has {len(log_s) - 1} levels, need {n_max}")
 
     ns = np.arange(n_min, n_max + 1)
     phi_x = f.value_at_neg_log(-log_s[ns])

@@ -62,11 +62,12 @@ def check_keys(cfg, what: str, required=(), optional=()) -> dict:
     return cfg
 
 
-def check_value(value, what: str, lo=-math.inf, hi=math.inf, kind=Integral) -> None:
-    """Raise InvalidRangeError unless ``value`` is a finite ``kind`` number (never a
-    bool) in [lo, hi]; an infinite bound leaves that side open."""
+def check_value(value, what: str, lo=-math.inf, hi=math.inf, kind=Integral,
+                error=InvalidRangeError) -> None:
+    """Raise ``error`` unless ``value`` is a finite ``kind`` number (never a bool, and
+    any NumPy integer is Integral) in [lo, hi]; an infinite bound leaves that side open."""
     if (isinstance(value, bool) or not isinstance(value, kind) or not lo <= value <= hi
             or (kind is not Integral and not math.isfinite(value))):
         noun = "an integer" if kind is Integral else "a number"
         span = f"{'(' if lo == -math.inf else '['}{lo}, {hi}{')' if hi == math.inf else ']'}"
-        raise InvalidRangeError(f"{what} must be {noun} in {span}, got {value!r}")
+        raise error(f"{what} must be {noun} in {span}, got {value!r}")

@@ -1,9 +1,9 @@
 """Seeded statistical experiments on random arrangements.
 
 Every experiment is a pure function of its configuration and a master
-seed: trial t uses the seed ``derive_seed(master_seed, t)``, trial records
-are plain dicts in trial order and reports sort their keys, so re-runs
-with any worker count are byte-identical.  `run_manifest` checks a whole
+seed: trial t uses the seed ``derive_seed(master_seed, t)`` and trial records
+are plain dicts in trial order; the writers sort the keys, so re-runs with
+any worker count are byte-identical.  `run_manifest` checks a whole
 manifest of them, then runs each one and evaluates its binding checks.
 """
 
@@ -243,7 +243,7 @@ def max_load_statistic(
                    K_n=k_n, frequency=float(np.mean(loads > k_n)),
                    empty_bin_frequency=(sum(empties) / len(empties)) if empties else None,
                    cantor_load=2 ** phi_n - 1, cantor_exceeds=bool(2 ** phi_n - 1 > k_n),
-                   histogram={int(v): int(c) for v, c in zip(hist_vals, hist_counts)},
+                   histogram={str(v): int(c) for v, c in zip(hist_vals, hist_counts)},
                    trials_detail=rows)
 
 

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from numbers import Integral
 
 import numpy as np
 
@@ -34,8 +33,7 @@ MAX_DEPTH = 26
 def check_depth(w: int, sequence: GapSequence | None = None) -> None:
     """The one check of a depth W: an integer in [1, MAX_DEPTH], never a bool,
     and, given a sequence, no more than its gaps to place (2^W - 1)."""
-    if isinstance(w, bool) or not isinstance(w, Integral) or not 1 <= w <= MAX_DEPTH:
-        raise DepthUnsupportedError(f"depth W must be an integer in [1, {MAX_DEPTH}], got {w!r}")
+    check_value(w, "depth W", 1, MAX_DEPTH, error=DepthUnsupportedError)
     if sequence is not None and 2 ** w - 1 > sequence.max_index:
         raise DepthUnsupportedError(
             f"sequence defines {sequence.max_index} gaps, depth {w} needs {2 ** w - 1}")
@@ -68,8 +66,7 @@ class ApproxSet:
         arrays themselves.  Degenerate intervals (zero length) are
         legitimate and kept.
         """
-        if isinstance(n, bool) or not isinstance(n, Integral) or not 0 <= n <= self.w:
-            raise DepthUnsupportedError(f"level must be an integer in [0, {self.w}], got {n!r}")
+        check_value(n, "level", 0, self.w, error=DepthUnsupportedError)
         if n == self.w:
             return self.lefts, self.rights
         at = np.flatnonzero(self.order < 2 ** n)   # positions of the shallow gaps

@@ -20,6 +20,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import check_value
+
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
@@ -49,6 +51,8 @@ def _word_blocks(seed: int, start: int, words: np.ndarray):
     """Fill the uint64 array ``words`` with the splitmix64 words of counters start,
     start + 1, ... block by block: a block's states are one add to the golden steps
     i * G, and each block is yielded while in cache, for the caller to finish it."""
+    check_value(seed, "seed")
+    seed, start = int(seed), int(start)   # the state sum overflows on NumPy integers
     step = np.arange(min(_BLOCK, words.size), dtype=np.uint64) * np.uint64(_GOLDEN)
     for i in range(0, words.size, _BLOCK):
         block = words[i : i + _BLOCK]

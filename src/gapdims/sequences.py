@@ -229,8 +229,7 @@ class LevelProfile:
 
 def level_sums(a: GapSequence, n_levels: int) -> LevelProfile:
     """Compute the profile s_0..s_{n_levels} plus the tau/lambda hats."""
-    if n_levels < 1:
-        raise InsufficientDepthError(f"need at least one level, got {n_levels}")
+    check_value(n_levels, "n_levels", 1, error=InsufficientDepthError)
     if not a.rule_based and 2 ** n_levels > a.max_index:
         raise InsufficientDepthError(
             f"N={n_levels} too deep for sequence with max index {a.max_index}"

@@ -5,6 +5,7 @@ import math
 import pytest
 
 from gapdims import (
+    InsufficientDepthError,
     NoAdmissibleWindowError,
     box_dim_estimate,
     depth_function,
@@ -88,6 +89,10 @@ def test_too_shallow_profile_raises():
     # phi(k) = k leaves no admissible n above k0 = 4 when N is tiny
     with pytest.raises(NoAdmissibleWindowError):
         upper_phi_dim_formula(d, 7)
+    for n_levels in (True, 1.5):
+        for formula in (upper_phi_dim_formula, lower_phi_dim_formula):
+            with pytest.raises(InsufficientDepthError, match="n_levels must be an integer"):
+                formula(d, n_levels)
 
 
 def test_monotone_in_dimension_function():

@@ -83,6 +83,11 @@ def test_depth_clipping():
     d = depth_function(f, p, 128, clip=True)
     assert d.n_max == 64  # deepest n with n + phi(n) = 2n <= 128
     assert d.phi(64) == 64
+    for n in (True, 1.5):
+        with pytest.raises(InsufficientDepthError, match="n_max must be an integer"):
+            depth_function(f, p, n, clip=True)
+        with pytest.raises(OutOfDomainError, match="phi level n must be an integer"):
+            d.phi(n)
 
 
 def test_regimes():

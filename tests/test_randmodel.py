@@ -390,6 +390,9 @@ def test_depth_and_seed_validation():
     for w in (True, 10.5, "14"):
         with pytest.raises(DepthUnsupportedError, match=r"depth W must be an integer in \[1, 26\]"):
             build_set(MID, w, "cantor")
+    for seed in (True, 1.5, "7"):
+        with pytest.raises(InvalidRangeError, match="seed must be an integer"):
+            build_set(MID, 5, "random", seed=seed)
 
 
 def test_a_set_compares_and_hashes_by_identity():

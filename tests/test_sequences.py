@@ -133,6 +133,9 @@ def test_validation_errors():
         make_sequence("explicit", gaps=[0.5, 0.4])
     with pytest.raises(InsufficientDepthError):
         level_sums(make_sequence("explicit", gaps=[0.5, 0.3, 0.2]), 64)
+    for n_levels in (True, 1.5):
+        with pytest.raises(InsufficientDepthError, match="n_levels must be an integer"):
+            level_sums(make_sequence("middle-third"), n_levels)
 
 
 def test_config_round_trip():
