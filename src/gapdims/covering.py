@@ -101,8 +101,9 @@ def _cover_counts(lefts, rights, lo, hi, r) -> np.ndarray:
         first, stop = idx[win], end[win]
         a, b = first.min(), stop.max()
         limit = 2.0 * radius * (1.0 + 1e-9) + _BREAK_ULPS
-        starts = np.flatnonzero(np.concatenate([[True], lefts[a + 1:b] - rights[a:b - 1] > limit]))
-        starts += a
+        breaks = (i + 1 + np.flatnonzero(lefts[i + 1:b][:rng._BLOCK] - rights[i:b - 1][:rng._BLOCK]
+                                         > limit) for i in range(a, b - 1, rng._BLOCK))
+        starts = np.concatenate([[a], *breaks])   # scanned one block of spaces at a time
         lasts = np.append(starts[1:], b) - 1
         full = _lockstep_counts(lefts, rights, lefts[starts], rights[lasts],
                                 np.full(starts.size, 2.0 * radius))
@@ -257,8 +258,7 @@ def enumerate_windows(s: ApproxSet, d: DepthTable,
         raise NoAdmissibleWindowError("no level has covering radii above the truncation floor")
     out = []
     for n in n_values:
-        if not d.n_min <= n <= min(d.n_max, s.w):
-            raise InvalidRangeError(f"window level {n} outside phi table or depth")
+        check_value(n, "window level", d.n_min, min(d.n_max, s.w))
         big_r = (1.0 - RADIUS_SHRINK) * p.s[n]
         centers = _pick_centers(s, n, policy.max_centers)
         for k in range(policy.k_min, policy.k_max + 1):

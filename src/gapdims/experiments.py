@@ -40,9 +40,10 @@ def _check_trials(trials, master_seed) -> None:
 
 
 def _report(kind: str, config: dict, master_seed: int, **result) -> dict:
-    """A report record: the header every kind shares, then its results."""
+    """A report record: the header every kind shares (NumPy integers as ints), then its results."""
+    config = {key: int(v) if isinstance(v, np.integer) else v for key, v in config.items()}
     return {"schema_version": SCHEMA_VERSION, "kind": kind, "config": config,
-            "master_seed": master_seed, **result}
+            "master_seed": int(master_seed), **result}
 
 
 def _trial_records(trial, trials: int, master_seed: int) -> list[dict]:
@@ -129,7 +130,7 @@ def _dichotomy_reports(a: GapSequence, entries: list, w: int, trials: int, maste
     check_value(w, "w", *LADDER_W)
     p = _comparable_profile(a, N_LEVELS, "dichotomy theorems")
     box = box_dim_estimate(p)
-    depths = (w - 6, w - 3, w)
+    depths = tuple(int(w) - k for k in (6, 3, 0))   # Python ints, as the report records them
     runs = [(f, depth_function(f, p, N_LEVELS - 1, clip=True),
              default_policies(depths) if policies is None else policies)
             for f, policies in entries]
@@ -242,7 +243,7 @@ def max_load_statistic(
                                 "trials": trials, "cutoff_A": LOAD_CUTOFF_A}, master_seed,
                    K_n=k_n, frequency=float(np.mean(loads > k_n)),
                    empty_bin_frequency=(sum(empties) / len(empties)) if empties else None,
-                   cantor_load=2 ** phi_n - 1, cantor_exceeds=bool(2 ** phi_n - 1 > k_n),
+                   cantor_load=int(2 ** phi_n - 1), cantor_exceeds=bool(2 ** phi_n - 1 > k_n),
                    histogram={str(v): int(c) for v, c in zip(hist_vals, hist_counts)},
                    trials_detail=rows)
 

@@ -25,8 +25,8 @@ from . import rng
 from .errors import DepthUnsupportedError, InvalidRangeError, check_value
 from .sequences import GapSequence
 
-# A set holds 32 bytes per gap and build_set peaks at 40 (641 MiB at W=24, ru_maxrss), so a
-# W=26 set needs 2 GiB held and about 2.5 GiB to build; refuse beyond.
+# A set holds 28 bytes per gap and build_set peaks at about 28 (449 MiB at W=24, ru_maxrss),
+# so a W=26 set needs 1.75 GiB to build and hold (`estimate` peaks at 1.85 GiB); refuse beyond.
 MAX_DEPTH = 26
 
 
@@ -78,26 +78,32 @@ class ApproxSet:
         return self._floor
 
     @cached_property
-    def _floor(self) -> float:
-        return 2.0 * float(np.max(self.rights - self.lefts))
+    def _floor(self) -> float:   # one block at a time: no full-size difference
+        blocks = (slice(i, i + rng._BLOCK) for i in range(0, self.n_gaps + 1, rng._BLOCK))
+        return 2.0 * max(float(np.max(self.rights[b] - self.lefts[b])) for b in blocks)
 
 
 def _stable_order(omega: np.ndarray, w: int) -> np.ndarray:
-    """``np.argsort(omega, kind="stable")`` for fewer than 2^w labels in [0, 1): one
-    in-place sort of uint64 keys, the top min(53, 64 - w) bits of label * 2^53
-    over its w-bit index, then a re-sort of the runs whose kept bits tie."""
-    key = (omega * 2.0 ** 53).astype(np.uint64)   # exact: 53-bit mantissas
-    key >>= np.uint64(max(w - 11, 0))
+    """``np.argsort(omega, kind="stable")`` as int32, for fewer than 2^w labels in [0, 1):
+    one in-place sort of uint64 keys, the top min(53, 64 - w) bits of label * 2^53 over its
+    w-bit index (ORed in and tie-tested a block at a time), then a re-sort of tied runs."""
+    key = np.multiply(omega, 2.0 ** (53 - max(w - 11, 0)), out=np.empty(omega.size, np.uint64),
+                      casting="unsafe")   # exact, and the cast truncates: the kept bits
     key <<= np.uint64(w)
-    key |= np.arange(omega.size, dtype=np.uint64)
+    for i in range(0, key.size, rng._BLOCK):
+        key[i : i + rng._BLOCK] |= np.arange(i, min(i + rng._BLOCK, key.size), dtype=key.dtype)
     key.sort()
-    tied = (key[1:] ^ key[:-1]) < 2 ** w   # key p + 1 ties with key p
+    tied = np.zeros(key.size, dtype=bool)   # key p + 1 ties with key p in its kept bits
+    for i in range(0, key.size - 1, rng._BLOCK):
+        k = key[i : i + rng._BLOCK + 1]
+        np.less(k[1:] ^ k[:-1], 2 ** w, out=tied[i : i + k.size - 1])
+    tied[np.flatnonzero(tied) + 1] = True   # now: key p lies in a run of tied keys
+    pos = np.flatnonzero(tied)
+    kept = key[pos] >> np.uint64(w)           # one value per run, increasing
     key &= np.uint64(2 ** w - 1)
-    order = key.view(np.int64)
-    with_prev = np.concatenate([[False], tied])
-    pos = np.flatnonzero(with_prev | np.concatenate([tied, [False]]))
+    order = key.astype(np.int32)
     idx = order[pos]
-    order[pos] = idx[np.lexsort((idx, omega[idx], np.cumsum(~with_prev[pos])))]
+    order[pos] = idx[np.lexsort((idx, omega[idx], kept))]
     return order
 
 
@@ -131,25 +137,32 @@ def build_set(sequence: GapSequence, w: int, arrangement: str, seed: int | None 
         slot_mass /= total
     elif arrangement == "cantor":
         # in-order rank q = (2i + 1) * 2^t of the heap is gap 2^(W - 1 - t) + i
-        order = np.empty(m, dtype=np.int64)
+        order = np.empty(m, dtype=np.int32)
         for t in range(w):
             order[2 ** t - 1 :: 2 ** (t + 1)] = np.arange(2 ** (w - 1 - t), 2 ** (w - t))
         slot_mass = np.full(m + 1, tail / (m + 1))
     elif arrangement == "decreasing":
-        order = np.arange(m, 0, -1, dtype=np.int64)
+        order = np.arange(m, 0, -1, dtype=np.int32)
         slot_mass = np.zeros(m + 1)
         slot_mass[0] = tail
     else:
         raise InvalidRangeError(f"unknown arrangement {arrangement!r}")
-    gap_len = sequence.gap_lengths(order)
-    # slot p | gap p | slot p+1 | gap p+1 | ... ; endpoints by prefix sums, in place
-    rights = np.empty(m + 1)
-    np.cumsum(slot_mass[:-1], out=rights[:-1])
+    # slot p | gap p | slot p+1 | gap p+1 | ... ; endpoints by prefix sums, one block at a
+    # time: each block's gap prefix sum, in lefts until laid out, starts from the carry
+    rights = np.cumsum(slot_mass)
     lefts = np.empty(m + 1)
-    rights[1:-1] += np.cumsum(gap_len[:-1], out=lefts[2:])   # lefts is scratch until laid out
+    lefts[0] = carry = 0.0
+    for i in range(0, m, rng._BLOCK):
+        gap_len = sequence.gap_lengths(order[i : i + rng._BLOCK])
+        run = lefts[i + 1 : i + 1 + gap_len.size]
+        np.copyto(run, gap_len)
+        run[0] += carry
+        np.cumsum(run, out=run)
+        carry = run[-1]
+        rights[i + 1 : i + 1 + run.size] += run
+        np.add(rights[i : i + run.size], gap_len, out=run)
+        del gap_len                  # before the next block's lengths are made
     rights[-1] = 1.0
-    lefts[0] = 0.0
-    np.add(rights[:-1], gap_len, out=lefts[1:])
     return ApproxSet(w=w, order=order, lefts=lefts, rights=rights, slot_mass=slot_mass)
 
 
@@ -170,7 +183,7 @@ def slot_counts(seed: int, n: int, bounds: tuple[int, ...]) -> np.ndarray:
         check_value(b, f"bound b_{i}", bounds[i - 1] if i else 2 ** n, 2 ** MAX_DEPTH)
     shallow = rng.uniforms(seed, 1, 2 ** n)
     shallow.sort()               # in place: a sorted copy added 24 MiB to a W=23 RSS peak
-    rows = np.empty((len(bounds) - 1, 2 ** n), dtype=np.int64)
+    rows = np.empty((len(bounds) - 1, 2 ** n), dtype=np.int32)   # counts stay below 2^26
     for i, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
         deep = rng.uniforms(seed, lo, hi)
         deep.sort()

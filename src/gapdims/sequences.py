@@ -92,7 +92,7 @@ class GapSequence:
         return np.log(self._explicit_level_sums(n_max))
 
     def _explicit_level_sums(self, n_max: int) -> np.ndarray:
-        if 2 ** n_max > len(self.gaps):
+        if 2 ** int(n_max) > len(self.gaps):   # a NumPy 2 ** 64 wraps to 0
             raise InsufficientDepthError(
                 f"explicit list of {len(self.gaps)} gaps has no level-{n_max} sum"
             )
@@ -109,7 +109,8 @@ class GapSequence:
 
     def gap_lengths(self, indices: np.ndarray) -> np.ndarray:
         """a_j for an array of indices (1-based)."""
-        idx = np.asarray(indices, dtype=np.int64)
+        idx = np.asarray(indices)
+        idx = idx if idx.dtype == np.int32 else idx.astype(np.int64, copy=False)   # int32: no copy
         if idx.size and (idx.min() < 1 or idx.max() > self.max_index):
             raise InsufficientDepthError("gap index out of materializable range")
         if not self.rule_based:
@@ -230,7 +231,7 @@ class LevelProfile:
 def level_sums(a: GapSequence, n_levels: int) -> LevelProfile:
     """Compute the profile s_0..s_{n_levels} plus the tau/lambda hats."""
     check_value(n_levels, "n_levels", 1, error=InsufficientDepthError)
-    if not a.rule_based and 2 ** n_levels > a.max_index:
+    if not a.rule_based and 2 ** int(n_levels) > a.max_index:   # a NumPy 2 ** 64 wraps to 0
         raise InsufficientDepthError(
             f"N={n_levels} too deep for sequence with max index {a.max_index}"
         )

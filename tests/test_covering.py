@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from gapdims import (
 from gapdims import covering
 from gapdims.cli import main
 from gapdims.covering import _cover_counts, _lockstep_counts
+from gapdims.experiments import default_policies
 
 from helpers import _greedy_count, batched_counts, exhaustive_cover
 
@@ -364,6 +366,27 @@ def test_no_admissible_window_when_too_deep():
     # level 7 ladder at depth 8 dives straight below the truncation floor
     with pytest.raises(NoAdmissibleWindowError):
         enumerate_windows(s, d, WindowPolicy(n_values=(7,), k_min=3, k_max=5))
-    with pytest.raises(InvalidRangeError, match="window level 9 outside phi table or depth"):
+    with pytest.raises(InvalidRangeError,
+                       match=r"window level must be an integer in \[1, 8\], got 9"):
         enumerate_windows(s, d, WindowPolicy(n_values=(9,), k_min=3, k_max=5))
 
+
+def test_floor_and_cover_scan_one_block_at_a_time():
+    # the widest interval and the 2r-cluster breaks are found one block of 2^15
+    # positions at a time, so a pinned-policy estimate (n = 4, wide windows counted
+    # by clusters) allocates little beyond the set it reads
+    w = 16
+    p = level_sums(MID, 60)
+    f = make_dimension_function("constant", 0.5)
+    d = depth_function(f, p, 59, clip=True)
+    pol = default_policies((w,))[w][0]
+    estimate_dimension(build_set(MID, w, "random", seed=1), "upper", f, p, d, pol)   # warm up
+    s = build_set(MID, w, "random", seed=5)
+    tracemalloc.start()   # after the build: the peak is what comes on top of the held set
+    try:
+        s.truncation_floor()
+        estimate_dimension(s, "upper", f, p, d, pol)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * s.n_gaps

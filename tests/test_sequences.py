@@ -131,8 +131,11 @@ def test_validation_errors():
         make_sequence("explicit", gaps=[0.5, 0.5, -0.1])
     with pytest.raises(NotNormalizedError):
         make_sequence("explicit", gaps=[0.5, 0.4])
+    for n_levels in (64, np.int64(64)):   # 2 ** np.int64(64) wraps to 0
+        with pytest.raises(InsufficientDepthError):
+            level_sums(make_sequence("explicit", gaps=[0.5, 0.3, 0.2]), n_levels)
     with pytest.raises(InsufficientDepthError):
-        level_sums(make_sequence("explicit", gaps=[0.5, 0.3, 0.2]), 64)
+        make_sequence("explicit", gaps=[0.5, 0.3, 0.2]).log_level_sums(np.int64(64))
     for n_levels in (True, 1.5):
         with pytest.raises(InsufficientDepthError, match="n_levels must be an integer"):
             level_sums(make_sequence("middle-third"), n_levels)
