@@ -13,6 +13,9 @@ kernel runs that sweep over all windows of an estimate in lockstep, with
 the serial loop's float arithmetic, so counts match it bit for bit.
 A window wider than `_LOCKSTEP_BALLS` balls of radius r is counted by
 2r-clusters instead, with the same counts in far fewer lockstep steps.
+Windows come in rungs (n, k) that share R, r and the level-n centers; an
+estimate resolves whole rungs on arrays against the set's count memo and
+makes its per-window records only when they are read.
 Radii below the approximation's truncation floor are skipped, since at
 those scales the depth-W set no longer resolves the true one.  Window
 centers sit at endpoints of the construction intervals: these are points
@@ -23,7 +26,9 @@ set at the scales in play.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, fields
+from collections.abc import Sequence
+from dataclasses import asdict, dataclass, field, fields
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -35,17 +40,18 @@ from .randmodel import ApproxSet
 from .sequences import LevelProfile
 
 
-def _lockstep_counts(lefts, rights, lo, hi, width) -> np.ndarray:
+def _lockstep_counts(lefts, rights, lo, hi, width, ranges=None) -> np.ndarray:
     """Minimal closed ``width``-interval cover of the segments clipped to
     [lo, hi], for every window at once.
 
     Each lockstep step handles the next uncovered segment of every active
     window, then jumps past the segments its balls cover.  A window retires
     when its segments run out or its cover reaches hi, so the loop runs
-    max(segments visited) <= max(N) steps, not one per segment.
+    max(segments visited) <= max(N) steps, not one per segment.  ``ranges``:
+    each window's (first, stop) segments, where the caller knows them.
     """
-    idx = np.searchsorted(rights, lo, side="left")
-    end = np.searchsorted(lefts, hi, side="right")
+    idx, end = ranges or (np.searchsorted(rights, lo, side="left"),
+                          np.searchsorted(lefts, hi, side="right"))
     counts = np.zeros(lo.shape, dtype=np.int64)
     pos = np.flatnonzero(idx < end)
     lo, hi, width, idx, end = lo[pos], hi[pos], width[pos], idx[pos], end[pos]
@@ -88,6 +94,7 @@ def _cover_counts(lefts, rights, lo, hi, r) -> np.ndarray:
     restarts after it as in a fresh window.  A window wider than
     `_LOCKSTEP_BALLS` balls is counted by 2r-clusters: its clipped end
     clusters plus a prefix sum over one lockstep batch of its r's clusters.
+    Spaces are scanned once, at the smallest r: its breaks hold all others.
     """
     lo, hi, r = (np.asarray(v, dtype=np.float64) for v in (lo, hi, r))
     idx = np.searchsorted(rights, lo, side="left")
@@ -96,17 +103,29 @@ def _cover_counts(lefts, rights, lo, hi, r) -> np.ndarray:
     wide = (idx < end) & (hi - lo > _LOCKSTEP_BALLS * 2.0 * r)
     rest = np.flatnonzero(~wide)
     parts = [(rest, lo[rest], hi[rest], r[rest])]   # (window, lo, hi, r) still to count
-    for radius in np.unique(r[wide]):
+    radii = np.unique(r[wide])
+    limits = 2.0 * radii * (1.0 + 1e-9) + _BREAK_ULPS
+    if radii.size:   # the breaks for the smallest r, one block of spaces at a time; 0 is none
+        a, b = idx[wide].min(), end[wide].max()
+        cut = np.concatenate([[0], *(i + 1 + np.flatnonzero(
+            lefts[i + 1:b][:rng._BLOCK] - rights[i:b - 1][:rng._BLOCK] > limits[0])
+            for i in range(a, b - 1, rng._BLOCK))])
+        space = lefts[cut] - rights[cut - 1]
+    for radius, limit in zip(radii, limits):
         win = np.flatnonzero(wide & (r == radius))
         first, stop = idx[win], end[win]
         a, b = first.min(), stop.max()
-        limit = 2.0 * radius * (1.0 + 1e-9) + _BREAK_ULPS
-        breaks = (i + 1 + np.flatnonzero(lefts[i + 1:b][:rng._BLOCK] - rights[i:b - 1][:rng._BLOCK]
-                                         > limit) for i in range(a, b - 1, rng._BLOCK))
-        starts = np.concatenate([[a], *breaks])   # scanned one block of spaces at a time
+        starts = np.append(a, cut[(cut > a) & (cut < b) & (space > limit)])
         lasts = np.append(starts[1:], b) - 1
+        # a break is wider than 0, so a cluster's segments end where the next one's start:
+        # search only the two outer ends and ends at segments rounded inside out
+        ranges = starts.copy(), lasts + 1
+        seek = np.flatnonzero(lefts[starts] > rights[starts]).tolist() + [0]
+        ranges[0][seek] = np.searchsorted(rights, lefts[starts[seek]], side="left")
+        seek = np.flatnonzero(lefts[lasts] > rights[lasts]).tolist() + [-1]
+        ranges[1][seek] = np.searchsorted(lefts, rights[lasts[seek]], side="right")
         full = _lockstep_counts(lefts, rights, lefts[starts], rights[lasts],
-                                np.full(starts.size, 2.0 * radius))
+                                np.full(starts.size, 2.0 * radius), ranges)
         head = np.searchsorted(starts, first, side="right") - 1
         tail = np.searchsorted(starts, stop - 1, side="right") - 1
         split = head < tail
@@ -190,13 +209,23 @@ class WindowPolicy:
         return WindowPolicy(**cfg)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DimensionEstimate:
     direction: str               # "upper" | "lower"
     beta_hat: float
-    records: tuple[CoverQuery, ...]
+    _rungs: tuple = field(repr=False)   # (n, k, centers, R, r, counts) of each rung resolved
     depth_used: int
     window_policy: dict
+
+    @cached_property
+    def records(self) -> tuple[CoverQuery, ...]:
+        """The windows with N >= 1, in enumeration order, made on first read."""
+        return tuple(CoverQuery(n, k, x, big_r, r, c) for n, k, xs, big_r, r, cs in self._rungs
+                     for x, c in zip(xs.tolist(), cs.tolist()) if c >= 1)
+
+    def __eq__(self, other):   # as records, however stored
+        return isinstance(other, DimensionEstimate) and \
+            (self.to_record(), self.records) == (other.to_record(), other.records)
 
     def to_record(self) -> dict:
         return {
@@ -242,21 +271,37 @@ def _pick_centers(s: ApproxSet, n: int, max_centers: int) -> np.ndarray:
     return s._center_cache[key]
 
 
+@dataclass(eq=False)
+class _Windows(Sequence):
+    """Read-only windows (n, k, x, R, r), stored as rungs (n, k, centers, R, r)."""
+
+    rungs: list
+
+    def __len__(self) -> int:
+        return sum(centers.size for _, _, centers, _, _ in self.rungs)
+
+    def __getitem__(self, i):   # makes every tuple: the package itself only iterates
+        return list(self)[i]
+
+    def __iter__(self):
+        return ((n, k, x, big_r, r) for n, k, xs, big_r, r in self.rungs for x in xs.tolist())
+
+
 def enumerate_windows(s: ApproxSet, d: DepthTable,
-                      policy: WindowPolicy) -> list[tuple[int, int, float, float, float]]:
+                      policy: WindowPolicy) -> Sequence[tuple[int, int, float, float, float]]:
     """Admissible (n, k, x, R, r) windows under the policy.
 
     R is the level-n scale s_n of ``d.profile``, shaved by RADIUS_SHRINK,
     and r runs over s_{n + phi(n) + k}.  Pairs with r >= R and radii below
     the truncation floor are skipped; NoAdmissibleWindowError is raised
-    only when no window is left.
+    only when no window is left.  A rung (n, k) keeps the level-n centers.
     """
     p = d.profile
     floor = s.truncation_floor()
     n_values = policy.n_values or _auto_n_values(d, s.w, floor, policy)
     if not n_values:
         raise NoAdmissibleWindowError("no level has covering radii above the truncation floor")
-    out = []
+    rungs = []
     for n in n_values:
         check_value(n, "window level", d.n_min, min(d.n_max, s.w))
         big_r = (1.0 - RADIUS_SHRINK) * p.s[n]
@@ -265,10 +310,10 @@ def enumerate_windows(s: ApproxSet, d: DepthTable,
             m = n + d.phi(n) + k
             # the ladder is intersected with the truncation floor
             if m <= p.n_max and floor <= p.s[m] < big_r:
-                out.extend((n, k, float(x), big_r, p.s[m]) for x in centers)
-    if not out:
+                rungs.append((n, k, centers, big_r, p.s[m]))
+    if not rungs:
         raise NoAdmissibleWindowError("policy admits no window with r < R")
-    return out
+    return _Windows(rungs)
 
 
 def estimate_dimension(s: ApproxSet, direction: str, f: DimensionFunction,
@@ -281,26 +326,43 @@ def estimate_dimension(s: ApproxSet, direction: str, f: DimensionFunction,
     the set, so they only arise from subsampled neighbors.  Windows not
     yet counted on ``s`` go to one call of the cover kernel (2r-clusters
     for a window wider than `_LOCKSTEP_BALLS` balls, where one pass over its
-    spaces beats a lockstep step per ball) and are remembered by the set: a
-    count depends only on the segments, x +- R and r.  The reduction is a
-    deterministic extremum with a lexicographic tie-break on the window.
+    spaces beats a lockstep step per ball) and are remembered by the set
+    per (R, r): a count depends only on the segments, x +- R and r.  The
+    reduction is a deterministic extremum with a lexicographic tie-break on
+    the window.
     """
     if direction not in ("upper", "lower"):
         raise InvalidRangeError(f"direction must be upper or lower, got {direction!r}")
     if p is not d.profile or f != d.func:
         raise InvalidRangeError("f and p must be the Phi and the profile that d was built from")
-    windows = enumerate_windows(s, d, policy)
-    memo = s._count_cache
-    new = list(dict.fromkeys(win[2:] for win in windows if win[2:] not in memo))
-    x, big_r, r = np.array(new).reshape(-1, 3).T
-    memo.update(zip(new, _cover_counts(s.lefts, s.rights, x - big_r, x + big_r, r).tolist()))
-    records = [CoverQuery(*win, c) for win in windows if (c := memo[win[2:]]) >= 1]
-    if not records:
-        raise NoAdmissibleWindowError("all enumerated windows were empty")
+    rungs = enumerate_windows(s, d, policy).rungs
+    memo = s._count_cache   # (R, r) -> (the sorted centers counted, their counts)
+    new = [x[~np.isin(x, memo[big_r, r][0])] if (big_r, r) in memo else x
+           for _, _, x, big_r, r in rungs]
+    lo, hi, r = (np.concatenate(col) for col in zip(*(
+        (x - rung[3], x + rung[3], np.full(x.size, rung[4])) for rung, x in zip(rungs, new))))
+    counted = np.split(_cover_counts(s.lefts, s.rights, lo, hi, r),
+                       np.cumsum([x.size for x in new])[:-1])
+    resolved = []   # (n, k, centers, R, r, counts) per rung
+    for (n, k, centers, big_r, r), x, c in zip(rungs, new, counted):
+        xs, cs = memo.get((big_r, r), (x[:0], c[:0]))
+        if x.size:
+            xs, first = np.unique(np.concatenate([xs, x]), return_index=True)
+            memo[big_r, r] = xs, cs = xs, np.concatenate([cs, c])[first]
+        resolved.append((n, k, centers, big_r, r, cs[np.searchsorted(xs, centers)]))
+    # score the N >= 1 windows in numpy; the exact key decides among those within 1e-9 of the top
     sign = 1.0 if direction == "upper" else -1.0
-    extremal = min(records, key=lambda q: (-sign * q.exponent, q))
+    scores = [np.where(c < 1, -np.inf, sign * np.minimum(1.0, np.log(np.maximum(c, 1))
+                                                          / math.log(big_r / r)))
+              for *_, big_r, r, c in resolved]
+    top = max(float(score.max()) for score in scores)
+    if top == -np.inf:
+        raise NoAdmissibleWindowError("all enumerated windows were empty")
+    extremal = min((CoverQuery(n, k, float(centers[i]), big_r, r, int(c[i]))
+                    for (n, k, centers, big_r, r, c), score in zip(resolved, scores)
+                    for i in np.flatnonzero(score >= top - 1e-9)),
+                   key=lambda q: (-sign * q.exponent, q))
     return DimensionEstimate(
-        direction=direction, beta_hat=extremal.exponent,
-        records=tuple(records), depth_used=s.w,
-        window_policy=policy.to_config(),
+        direction=direction, beta_hat=extremal.exponent, _rungs=tuple(resolved),
+        depth_used=s.w, window_policy=policy.to_config(),
     )

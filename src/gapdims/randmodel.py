@@ -127,7 +127,9 @@ def build_set(sequence: GapSequence, w: int, arrangement: str, seed: int | None 
         omega = rng.uniforms(seed, 1, 2 ** w)
         order = _stable_order(omega, w)
         slot_mass = np.empty(m + 1)   # spacings of 0, the sorted labels and 1, in place
-        np.take(omega, order, out=slot_mass[:-1], mode="clip")   # "clip" takes unbuffered
+        for i in range(0, m, rng._BLOCK):   # a block's intp copy of order, not a full one
+            np.take(omega, order[i : i + rng._BLOCK], out=slot_mass[i : min(i + rng._BLOCK, m)],
+                    mode="clip")     # "clip" takes unbuffered
         slot_mass[-1] = 1.0
         slot_mass[1:] = np.subtract(slot_mass[1:], slot_mass[:-1], out=omega)   # into the draw
         del omega                    # free the draw before the geometry is laid out

@@ -110,6 +110,8 @@ class GapSequence:
     def gap_lengths(self, indices: np.ndarray) -> np.ndarray:
         """a_j for an array of indices (1-based)."""
         idx = np.asarray(indices)
+        if idx.dtype.kind not in "iu":
+            raise InvalidRangeError(f"gap indices must be integers, got dtype {idx.dtype}")
         idx = idx if idx.dtype == np.int32 else idx.astype(np.int64, copy=False)   # int32: no copy
         if idx.size and (idx.min() < 1 or idx.max() > self.max_index):
             raise InsufficientDepthError("gap index out of materializable range")

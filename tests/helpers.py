@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from gapdims import rng
-from gapdims.covering import _cover_counts
+from gapdims.covering import CoverQuery, _cover_counts, enumerate_windows
 
 MASK = 0xFFFFFFFFFFFFFFFF
 GOLDEN = 0x9E3779B97F4A7C15
@@ -231,3 +231,16 @@ def exhaustive_cover(segs, lo, hi, r, budget):
 
     rec(-math.inf, 0)
     return best[0]
+
+
+def per_record_estimate(s, direction: str, d, policy) -> tuple[float, tuple]:
+    """(beta_hat, records) of ``estimate_dimension`` one window at a time: a
+    CoverQuery per enumerated window, every count from one fresh kernel call,
+    and the extremum over the records under the exact key (-sign * exponent,
+    record)."""
+    windows = list(enumerate_windows(s, d, policy))
+    x, big_r, r = np.array([win[2:] for win in windows]).T
+    counts = _cover_counts(s.lefts, s.rights, x - big_r, x + big_r, r).tolist()
+    records = tuple(CoverQuery(*win, c) for win, c in zip(windows, counts) if c >= 1)
+    sign = 1.0 if direction == "upper" else -1.0
+    return min(records, key=lambda q: (-sign * q.exponent, q)).exponent, records

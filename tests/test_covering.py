@@ -22,10 +22,10 @@ from gapdims import (
 )
 from gapdims import covering
 from gapdims.cli import main
-from gapdims.covering import _cover_counts, _lockstep_counts
-from gapdims.experiments import default_policies
+from gapdims.covering import RADIUS_SHRINK, _cover_counts, _lockstep_counts
+from gapdims.experiments import default_policies, run_dichotomy_experiment
 
-from helpers import _greedy_count, batched_counts, exhaustive_cover
+from helpers import _greedy_count, batched_counts, exhaustive_cover, per_record_estimate
 
 MID = make_sequence("middle-third")
 
@@ -86,9 +86,9 @@ def lockstep_batches(monkeypatch):
     """The (lo, hi, width) of every lockstep batch that `_cover_counts` runs, in order."""
     batches = []
 
-    def spy(lefts, rights, lo, hi, width):
+    def spy(lefts, rights, lo, hi, width, *ranges):
         batches.append((lo.copy(), hi.copy(), width.copy()))
-        return _lockstep_counts(lefts, rights, lo, hi, width)
+        return _lockstep_counts(lefts, rights, lo, hi, width, *ranges)
 
     monkeypatch.setattr(covering, "_lockstep_counts", spy)
     return batches
@@ -177,6 +177,65 @@ def test_dispatch_sends_wide_groups_to_clusters(lockstep_batches):
     got = _cover_counts(lefts, rights, x - big_r, x + big_r, r)
     assert len(lockstep_batches) > 1
     assert np.array_equal(got, _lockstep_counts(lefts, rights, x - big_r, x + big_r, 2.0 * r))
+
+
+def test_one_call_with_several_wide_radii_equals_one_call_per_radius(lockstep_batches):
+    # the spaces are scanned once, at the smallest r; each larger r keeps its own breaks
+    s = build_set(MID, 14, "random", seed=9)
+    lefts, rights = s.lefts, s.rights
+    p = level_sums(MID, 30)
+    centers = np.unique(np.concatenate(s.level_intervals(3)))
+    radii = p.s[[9, 10, 11, 12]]   # R / r = 3^6 .. 3^9 balls: every window is wide
+    x, r = np.tile(centers, radii.size), np.repeat(radii, centers.size)
+    big_r = np.full(x.size, p.s[3])
+    got = _cover_counts(lefts, rights, x - big_r, x + big_r, r)
+    clusters = lockstep_batches[:-1]   # one batch per r, smallest first, then the clipped ends
+    assert [np.unique(width).tolist() for _, _, width in clusters] == \
+        [[2.0 * radius] for radius in np.sort(radii)]
+    assert np.array_equal(got, _lockstep_counts(lefts, rights, x - big_r, x + big_r, 2.0 * r))
+    for radius, batch in zip(np.sort(radii), clusters):
+        lockstep_batches.clear()
+        at = r == radius
+        assert np.array_equal(_cover_counts(lefts, rights, (x - big_r)[at], (x + big_r)[at], r[at]),
+                              got[at])
+        # the same clusters: a missed break would merge two of them, with the same counts
+        assert all(np.array_equal(u, v) for u, v in zip(lockstep_batches[0], batch))
+
+
+def test_cluster_batches_get_the_ranges_a_search_finds(monkeypatch):
+    # a break is wider than 0, so a cluster's segments end where the next one's start;
+    # the outer ends are searched, and so are ends at a segment that rounding turned
+    # inside out (lefts > rights), which a decreasing arrangement has by the thousand
+    monkeypatch.setattr(covering, "_LOCKSTEP_BALLS", 0)
+    calls = []
+
+    def spy(lefts, rights, lo, hi, width, *ranges):
+        calls.append((lo, hi, ranges))
+        return _lockstep_counts(lefts, rights, lo, hi, width, *ranges)
+
+    monkeypatch.setattr(covering, "_lockstep_counts", spy)
+    s = build_set(MID, 14, "decreasing")
+    assert np.count_nonzero(s.lefts > s.rights) > 1000
+    cases = [(s.lefts, s.rights, [(-0.1, 1.1), (0.2, 0.9), (0.5, 1.0)]),
+             # the first or last segment a window meets touches its neighbour (a zero space)
+             (np.array([0.0, 0.1, 0.3, 0.6, 0.85]), np.array([0.05, 0.3, 0.5, 0.8, 1.0]),
+              [(0.3, 1.0), (np.nextafter(0.3, 1.0), 0.95), (0.06, 0.3), (0.06, 0.25)])]
+    for lefts, rights, spans in cases:
+        off_start = 0   # clusters whose first segment is not the one at their left end
+        for lo, hi in spans:   # one call per window: its first cluster starts the scan
+            calls.clear()
+            batched_counts(lefts, rights, [(lo, hi, r) for r in (1e-4, 0.02, 0.05, 0.11)])
+            assert [bool(ranges) for *_, ranges in calls] == [True] * (len(calls) - 1) + [False]
+            for starts, stops, ranges in calls[:-1]:   # each cluster's [lo, hi]
+                idx, end = ranges[0]
+                assert np.array_equal(idx, np.searchsorted(rights, starts, side="left"))
+                assert np.array_equal(end, np.searchsorted(lefts, stops, side="right"))
+                off_start += np.count_nonzero(idx != np.searchsorted(lefts, starts, side="left"))
+        assert off_start > 0
+    lefts, rights, spans = cases[1]
+    for r in (0.02, 0.05):
+        assert batched_counts(lefts, rights, [(lo, hi, r) for lo, hi in spans]) == \
+            [_greedy_count(lefts, rights, lo, hi, r) for lo, hi in spans]
 
 
 @pytest.mark.parametrize("w,seed", [(12, 8), (13, 21), (14, 5)])
@@ -295,6 +354,60 @@ def test_estimates_count_each_window_once_per_set(monkeypatch):
     for (direction, policy), est in zip(runs, got):
         fresh = build_set(MID, 14, "random", seed=5)
         assert est == estimate_dimension(fresh, direction, f, p, d, policy)
+
+
+def test_enumerate_windows_is_a_sequence_of_window_tuples():
+    s = build_set(MID, 12, "random", seed=3)
+    p = level_sums(MID, 30)
+    d = depth_function(make_dimension_function("constant", 0.5), p, 28, clip=True)
+    wins = enumerate_windows(s, d, WindowPolicy(n_values=(2, 4), k_min=1, k_max=2, max_centers=8))
+    want = [(n, k, float(x), (1.0 - RADIUS_SHRINK) * p.s[n], p.s[n + d.phi(n) + k])
+            for n in (2, 4) for k in (1, 2) for x in s._center_cache[n, 8]]
+    assert len(wins) == len(want) == 2 * 8 + 2 * 8
+    assert list(wins) == want and [wins[i] for i in range(len(wins))] == want
+    assert wins[-1] == want[-1] and wins[3:9] == want[3:9]
+    assert all(type(win[2]) is float for win in wins)
+    with pytest.raises(IndexError):
+        wins[len(want)]
+
+
+def test_estimate_equals_the_per_record_oracle():
+    # one set per case and its count memo shared by every policy and direction, against
+    # each window counted afresh and the extremum taken over the records
+    cases = [
+        (MID, "random", 14, ("zero", None)), (MID, "random", 14, ("constant", 0.5)),
+        (MID, "cantor", 14, ("zero", None)), (MID, "cantor", 14, ("constant", 0.5)),
+        (make_sequence("central", ratios=[0.2, 0.4], schedule="blocks"), "cantor", 16,
+         ("zero", None)),
+    ]
+    policies = [WindowPolicy(), WindowPolicy(n_spread=True, auto_n_count=4, max_centers=256),
+                WindowPolicy(n_values=(3,), k_min=1, k_max=8),
+                WindowPolicy(n_values=(2, 5), k_min=0, k_max=4, max_centers=16)]
+    for a, arrangement, w, phi in cases:
+        p = level_sums(a, 60)
+        f = make_dimension_function(*phi)
+        d = depth_function(f, p, 59, clip=True)
+        s = build_set(a, w, arrangement, seed=7)
+        for policy in policies:
+            for direction in ("upper", "lower"):
+                est = estimate_dimension(s, direction, f, p, d, policy)
+                beta_hat, records = per_record_estimate(s, direction, d, policy)
+                assert est.beta_hat == beta_hat and est.records == records
+                assert est.to_record()["n_windows"] == len(records)
+    # the default policy's k = 1 rung ties 114 windows at the cap of 1 (N = 3, R/r = 2.5)
+    est = estimate_dimension(s, "upper", f, p, d, WindowPolicy())
+    assert est.beta_hat == 1.0
+    assert sum(q.exponent == 1.0 for q in est.records) == 114
+
+
+def test_dichotomy_runs_never_read_the_records(monkeypatch):
+    reads = []
+    monkeypatch.setattr(covering.DimensionEstimate, "records",
+                        property(lambda est: reads.append(est) or ()))
+    pol = WindowPolicy(n_values=(2,), k_min=1, k_max=2, max_centers=16)
+    rep = run_dichotomy_experiment(MID, make_dimension_function("constant", 0.5), 14, 2, 5,
+                                   {8: (pol, pol), 11: (pol, pol), 14: (pol, pol)})
+    assert rep["depths"] and reads == []
 
 
 def test_estimate_refuses_f_or_p_that_d_was_not_built_from():

@@ -197,6 +197,38 @@ def test_build_set_peak_memory_per_gap():
         assert peak <= 30 * (2 ** w - 1), arrangement
 
 
+def test_random_build_takes_the_sorted_labels_a_block_at_a_time(monkeypatch):
+    # from the sorted order to the layout's first prefix sum the build adds only the slot
+    # masses and one block's intp copy of the int32 order, never a full-size copy
+    w = 18
+    peaks, stable_order = [], randmodel._stable_order
+
+    def sort_then_trace(omega, w):
+        order = stable_order(omega, w)
+        tracemalloc.start()
+        return order
+
+    class Numpy:   # numpy, but its first prefix sum reads the traced peak and stops the trace
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def cumsum(self, *args, **kwargs):
+            if tracemalloc.is_tracing():
+                peaks.append(tracemalloc.get_traced_memory()[1])
+                tracemalloc.stop()
+            return np.cumsum(*args, **kwargs)
+
+    build_set(MID, w, "random", seed=1)   # the sequence's level tables, outside the trace
+    monkeypatch.setattr(randmodel, "_stable_order", sort_then_trace)
+    monkeypatch.setattr(randmodel, "np", Numpy())
+    try:
+        build_set(MID, w, "random", seed=5)   # its bytes: test_build_set_equals_the_full_size_reference
+    finally:
+        tracemalloc.stop()
+    assert len(peaks) == 1
+    assert 8 * 2 ** w <= peaks[0] <= 8 * 2 ** w + 8 * rng._BLOCK + 2 ** 16
+
+
 def test_build_set_equals_the_full_size_reference():
     # the int32 order, the spacings differenced in place, the exponent-field gap lengths
     # and the prefix sum carried block to block in the lefts buffer give the order of

@@ -8,6 +8,7 @@ import pytest
 from gapdims import (
     GapSequence,
     InsufficientDepthError,
+    InvalidRangeError,
     InvalidRatioError,
     NotDecreasingError,
     NotNormalizedError,
@@ -58,6 +59,18 @@ def test_gap_lengths_read_levels_from_the_exponent_field():
                     np.array([], dtype=np.int64)):
             got, want = a.gap_lengths(idx), frexp_gap_lengths(a, idx)
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def test_gap_lengths_refuse_non_integer_indices():
+    # a float index was truncated: [1.7, 2.9] read a_1 and a_2
+    explicit = make_sequence("explicit", gaps=[0.5, 0.3, 0.2])
+    for a in (make_sequence("middle-third"), explicit):
+        for idx, dtype in ((np.array([1.7, 2.9]), "float64"), (np.array([True]), "bool"),
+                           (np.array([2.0], dtype=np.float32), "float32")):
+            with pytest.raises(InvalidRangeError, match=f"gap indices must be integers, got dtype {dtype}"):
+                a.gap_lengths(idx)
+        assert a.gap_lengths(np.array([1, 2], dtype=np.uint8)).tolist() == \
+            a.gap_lengths(np.array([1, 2])).tolist()
 
 
 def test_periodic_schedule_level_sums():
