@@ -280,8 +280,14 @@ class _Windows(Sequence):
     def __len__(self) -> int:
         return sum(centers.size for _, _, centers, _, _ in self.rungs)
 
-    def __getitem__(self, i):   # makes every tuple: the package itself only iterates
-        return list(self)[i]
+    def __getitem__(self, i):   # an index walks the rung sizes; a slice makes every tuple
+        if isinstance(i, slice):
+            return list(self)[i]
+        j = range(len(self))[i]      # as a list: from the end if negative, else IndexError
+        for n, k, xs, big_r, r in self.rungs:
+            if j < xs.size:
+                return n, k, float(xs[j]), big_r, r
+            j -= xs.size
 
     def __iter__(self):
         return ((n, k, x, big_r, r) for n, k, xs, big_r, r in self.rungs for x in xs.tolist())

@@ -231,9 +231,10 @@ def max_load_statistic(
     bounds = (2 ** n, 2 ** (n + phi_n)) + ((2 ** (n + ext),) if w >= n + ext else ())
 
     def trial(seed):
-        counts = randmodel.slot_counts(seed, n, bounds)
-        extension = {"empty_bin": bool(counts[1].min() == 0)} if len(counts) > 1 else {}
-        return {"M_n": int(counts[0].max()), "K_n": k_n, **extension}
+        row = randmodel.slot_counts(seed, n, bounds[:2])[0]
+        extension = ({"empty_bin": randmodel.has_empty_interval(seed, n, row, *bounds[1:])}
+                     if len(bounds) > 2 else {})
+        return {"M_n": int(row.max()), "K_n": k_n, **extension}
 
     rows = _trial_records(trial, trials, master_seed)
     loads = np.array([r["M_n"] for r in rows], dtype=np.int64)

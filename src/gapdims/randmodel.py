@@ -196,3 +196,23 @@ def slot_counts(seed: int, n: int, bounds: tuple[int, ...]) -> np.ndarray:
         if i:
             rows[i] += rows[i - 1]
     return rows
+
+
+def has_empty_interval(seed: int, n: int, row: np.ndarray, lo: int, hi: int) -> bool:
+    """``(row + slot_counts(seed, n, (lo, hi))[0]).min() == 0`` for n >= 1, by one witness: the
+    shortest interval empty in ``row``; only a label of [lo, hi) in it ranks the range."""
+    if row.min() > 0:
+        return False                 # the range only adds gaps
+    s = rng.uniforms(seed, 1, 2 ** n)
+    s.sort()                         # in place: interval j is (s_(j-1), s_j], from 0 to 1
+    j = np.flatnonzero(row == 0)
+    left = np.where(j > 0, s.take(j - 1, mode="clip"), 0.0)
+    right = np.where(j < s.size, s.take(j, mode="clip"), 1.0)
+    k = np.argmin(right - left)
+    a, b = (left[k] if j[k] else -1.0), right[k]   # a label of 0 lies in interval 0
+    del s, j, left, right            # free the shallow labels before the range is drawn
+    deep = rng.uniforms(seed, lo, hi)
+    hit = any(((x > a) & (x <= b)).any()   # one block at a time: no full-size masks
+              for x in (deep[i : i + rng._BLOCK] for i in range(0, deep.size, rng._BLOCK)))
+    del deep                         # free the range before a hit ranks it afresh
+    return not hit or bool((row + slot_counts(seed, n, (lo, hi))[0]).min() == 0)

@@ -3,8 +3,9 @@
 One test per criterion; each prints a single PASS line when its binding
 assertions hold.  Criteria 5 and 6 share the pre-registered manifest run
 (manifests/dichotomy_middle_third.json), which carries the pilot-calibrated
-window policies and thresholds.  Criteria 5-9 (5 and 6 through that
-shared run) take over 20 s each and carry the ``slow`` marker.
+window policies and thresholds; a negative control reads the same run.
+Criteria 5-9 (5 and 6 through that shared run) take over 20 s each and
+carry the ``slow`` marker.
 """
 
 import json
@@ -33,6 +34,7 @@ from gapdims import (
     upper_phi_dim_formula,
 )
 from gapdims.covering import WindowPolicy
+from gapdims.experiments import check_thresholds, validate_thresholds
 from gapdims.rng import derive_seed
 
 from helpers import _greedy_count, batched_counts, exhaustive_cover, report_json
@@ -161,6 +163,27 @@ def test_criterion_06_dichotomy_manifest(manifest_outcome):
     assert manifest_outcome["pass"]
     print("PASS criterion 6: all pre-registered dichotomy thresholds met "
           "(drift and final tolerances, both families, W ladder 14/17/20)")
+
+
+@pytest.mark.slow
+def test_manifest_side_rules_fail_on_the_other_regime(manifest_outcome):
+    # negative control: each dichotomy entry's upper and lower rules, run on the other
+    # entry's report, fail there, so each is binding on its own regime.  The per-trial
+    # sandwich passes on both reports: it does not tell the regimes apart.
+    rules = {e["name"]: validate_thresholds(e["thresholds"])
+             for e in manifest_outcome["manifest"]["experiments"]
+             if e.get("kind", "dichotomy") == "dichotomy"}
+    reports = {res["name"]: res["report"] for res in manifest_outcome["results"]
+               if res["kind"] == "dichotomy"}
+    assert sorted(rules) == sorted(reports) == ["constant-0.5", "zero"]
+    for own, other in permutations(rules, 2):
+        depths, targets = reports[other]["depths"], reports[other]["targets"]
+        sides = check_thresholds({**rules[own], "sandwich": False}, depths, targets)
+        assert len(sides) == 4 and not any(c["pass"] for c in sides), (own, other, sides)
+        sandwich = check_thresholds({"sandwich": True}, depths, targets)
+        assert [c["pass"] for c in sandwich] == [True], (other, sandwich)
+    print("PASS negative control: each regime's 4 side checks fail on the other regime's "
+          "report; the sandwich passes on both")
 
 
 @pytest.mark.slow

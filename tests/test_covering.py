@@ -371,6 +371,26 @@ def test_enumerate_windows_is_a_sequence_of_window_tuples():
         wins[len(want)]
 
 
+def test_a_window_index_reads_its_rung_as_the_list_does():
+    s = build_set(MID, 12, "random", seed=5)
+    p = level_sums(MID, 30)
+    d = depth_function(make_dimension_function("zero"), p, 28, clip=True)
+    # rungs of unequal sizes: 4, 16 and 64 centers at levels 1, 3 and 5
+    wins = enumerate_windows(s, d, WindowPolicy(n_values=(1, 3, 5), k_min=1, k_max=2,
+                                                max_centers=64))
+    want = list(wins)
+    assert len({len(c) for _, _, c, _, _ in wins.rungs}) > 1
+    for i in [*range(-len(want), len(want)), np.int64(7), np.int64(-3)]:
+        assert wins[i] == want[i] and type(wins[i][2]) is float, i
+    for part in [slice(None), slice(2, 40, 3), slice(-5, None), slice(None, None, -1)]:
+        assert wins[part] == want[part]
+    for i in (len(want), -len(want) - 1, 10 ** 6):
+        with pytest.raises(IndexError):
+            wins[i]
+    with pytest.raises(TypeError):
+        wins[1.0]
+
+
 def test_estimate_equals_the_per_record_oracle():
     # one set per case and its count memo shared by every policy and direction, against
     # each window counted afresh and the extremum taken over the records

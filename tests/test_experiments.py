@@ -47,7 +47,12 @@ from gapdims.experiments import (
 from gapdims.rng import derive_seed
 from gapdims.sequences import level_sums
 
-from helpers import bincount_empty_bin, exact_binomial_tail, report_json
+from helpers import (
+    bincount_empty_bin,
+    exact_binomial_tail,
+    report_json,
+    single_draw_slot_counts,
+)
 
 MID = make_sequence("middle-third")
 
@@ -93,6 +98,31 @@ def test_max_load_small_case_reproducible():
     # random max load must beat the uniform (cantor) load in every trial:
     # mean deep count is ~3 per interval and the max is far above the mean
     assert min(map(int, r1["histogram"])) >= r1["cantor_load"]
+
+
+def test_max_load_trials_equal_the_single_draw(monkeypatch):
+    # M_n from row 0 and empty_bin from the nested row, counted from one draw of every label
+    ranked, slot_counts = [], randmodel.slot_counts
+    monkeypatch.setattr(randmodel, "slot_counts",
+                        lambda *args: ranked.append(args[2]) or slot_counts(*args))
+    fallbacks = 0
+    for w, n, phi_n, master_seed in [(12, 8, 2, 5), (14, 10, 2, 3)]:
+        ext = phi_n + math.floor(experiments.LOAD_CUTOFF_A * math.log(n))
+        bounds = (2 ** n, 2 ** (n + phi_n), 2 ** (n + ext))
+        assert w >= n + ext                        # so every trial reads empty_bin
+        ranked.clear()
+        detail = max_load_statistic(MID, w, n, phi_n, 300, master_seed)["trials_detail"]
+        k_n = critical_load(n, phi_n)
+        for t, record in enumerate(detail):
+            rows = single_draw_slot_counts(derive_seed(master_seed, t), n, bounds)
+            assert record == {"trial_id": t, "seed": derive_seed(master_seed, t),
+                              "M_n": int(rows[0].max()), "K_n": k_n,
+                              "empty_bin": bool(rows[1].min() == 0)}
+        # row 0 is ranked once a trial; the extension range only where a label hit the witness
+        assert ranked.count(bounds[:2]) == 300
+        assert ranked.count(bounds[1:]) == len(ranked) - 300 < 15
+        fallbacks += len(ranked) - 300
+    assert fallbacks > 0
 
 
 def test_max_load_dominates_cantor_stochastically():

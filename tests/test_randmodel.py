@@ -360,6 +360,67 @@ def test_slot_counts_holds_one_range_at_a_time():
         assert (peak <= limit) == (counts is slot_counts), (counts.__name__, peak, limit)
 
 
+@pytest.mark.parametrize("n,bounds", [
+    (1, (2, 2, 9)), (4, (16, 16, 16)), (4, (16, 20, 20)),   # two intervals; empty ranges
+    (6, (64, 256, 512)), (8, (256, 1024, 2048)), (10, (2 ** 10, 2 ** 12, 2 ** 13)),
+    (10, (2 ** 10, 2 ** 11, 2 ** 14)),
+    (2, (4, 5, 64)), (4, (16, 64, 2 ** 12)), (4, (16, 2 ** 10, 2 ** 12)),   # False as well
+])
+@pytest.mark.parametrize("seed", [1, 5, 99])
+def test_has_empty_interval_equals_the_single_draw(seed, n, bounds):
+    b0, lo, hi = bounds
+    row = single_draw_slot_counts(seed, n, (b0, lo))[0]
+    want = (row + single_draw_slot_counts(seed, n, (lo, hi))[0]).min() == 0
+    got = randmodel.has_empty_interval(seed, n, row, lo, hi)
+    assert type(got) is bool and got == want
+
+
+def test_has_empty_interval_draws_nothing_for_a_row_without_zeros(monkeypatch):
+    draws, uniforms = [], rng.uniforms
+    monkeypatch.setattr(rng, "uniforms", lambda *args: draws.append(args) or uniforms(*args))
+    assert not randmodel.has_empty_interval(5, 6, np.ones(64, dtype=np.int32), 64, 2 ** 12)
+    assert draws == []
+
+
+def test_has_empty_interval_settles_on_the_witness_or_ranks_the_range(monkeypatch):
+    seed, n, lo, hi = 5, 6, 2 ** 6, 2 ** 6 + 8    # 8 labels in 64 intervals
+    counts = single_draw_slot_counts(seed, n, (lo, hi))[0]
+    width = np.diff(np.concatenate(([0.0], np.sort(omega_labels(seed, n)), [1.0])))
+    hit = np.flatnonzero(counts > 0)
+    hit = hit[np.argmin(width[hit])]               # the shortest interval a label falls in
+    miss = np.flatnonzero(counts == 0)
+    miss = miss[np.argmax(width[miss])]            # the widest interval no label falls in
+    assert width[hit] < width[miss]
+    ranked, slot_counts_ = [], randmodel.slot_counts
+    monkeypatch.setattr(randmodel, "slot_counts",
+                        lambda *args: ranked.append(args) or slot_counts_(*args))
+    for zeros, want, falls_back in [
+        ((miss,), True, False),        # the witness holds: nothing is ranked
+        ((hit, miss), True, True),     # the shortest zero is hit; the range leaves miss empty
+        ((hit,), False, True),         # the shortest zero is hit and was the only one
+    ]:
+        row = np.ones(2 ** n, dtype=np.int32)
+        row[list(zeros)] = 0
+        ranked.clear()
+        assert randmodel.has_empty_interval(seed, n, row, lo, hi) is want, zeros
+        assert ranked == ([(seed, n, (lo, hi))] if falls_back else []), zeros
+
+
+def test_has_empty_interval_holds_the_range_and_one_block(monkeypatch):
+    # the witness path: the range's draw and one block's masks and scratch, never a
+    # full-size mask (2 MiB here)
+    n, lo, hi = 14, 2 ** 14, 2 ** 21
+    randmodel.has_empty_interval(3, 6, np.zeros(64, dtype=np.int32), 64, 2 ** 8)   # warm up
+    monkeypatch.setattr(randmodel, "slot_counts", None)          # the witness must hold
+    tracemalloc.start()
+    try:
+        assert randmodel.has_empty_interval(5, n, np.zeros(2 ** n, dtype=np.int32), lo, hi)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * (hi - lo) + 2 ** 20, peak
+
+
 def test_slot_counts_rejects_bounds_outside_the_deep_gaps():
     with pytest.raises(InvalidRangeError, match=r"bound b_0 must be an integer in \[16, "):
         slot_counts(3, 4, (8, 2 ** 8))       # b_0 < 2^n: a shallow gap
