@@ -138,8 +138,8 @@ def _dichotomy_reports(a: GapSequence, entries: list, w: int, trials: int, maste
     # per depth: each trial's random set, then the cantor control
     tasks = [(depth, arrangement, seed) for depth in depths
              for arrangement, seed in [*(("random", s) for s in seeds), ("cantor", None)]]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        betas = list(pool.map(lambda task: _betas(a, *task, runs), tasks))
+    with ThreadPoolExecutor(max_workers=workers) as pool:   # deepest, longest, first
+        betas = list(pool.map(lambda task: _betas(a, *task, runs), tasks[::-1]))[::-1]
 
     n_formula = min(p.n_max, 2 * N_LEVELS // 3)
     reports = []
@@ -231,8 +231,8 @@ def max_load_statistic(
     bounds = (2 ** n, 2 ** (n + phi_n)) + ((2 ** (n + ext),) if w >= n + ext else ())
 
     def trial(seed):
-        row = randmodel.slot_counts(seed, n, bounds[:2])[0]
-        extension = ({"empty_bin": randmodel.has_empty_interval(seed, n, row, *bounds[1:])}
+        row, shallow = randmodel.range_counts(seed, n, *bounds[:2])
+        extension = ({"empty_bin": randmodel.has_empty_interval(seed, n, row, *bounds[1:], shallow)}
                      if len(bounds) > 2 else {})
         return {"M_n": int(row.max()), "K_n": k_n, **extension}
 

@@ -168,51 +168,74 @@ def build_set(sequence: GapSequence, w: int, arrangement: str, seed: int | None 
     return ApproxSet(w=w, order=order, lefts=lefts, rights=rights, slot_mass=slot_mass)
 
 
+def range_counts(seed: int, n: int, lo: int, hi: int,
+                 shallow: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """(counts, shallow): the gaps of a range [lo, hi) that `slot_counts` accepts per level-n
+    interval, and the sorted shallow labels, by one in-place sort of their `rng.label_keys`.
+    Shallow keys are tagged in bit 0, so a deep label equal to s_j sorts first and counts in
+    interval j = (s_(j-1), s_j] as in `searchsorted(side="right")`.  Label j overwrites key
+    j <= its tag, already read.  ``shallow`` of an earlier call (same seed, n) is keyed."""
+    m, size = hi - lo, 2 ** n - 1
+    keys = np.empty(m + size, dtype=np.uint64)
+    if shallow is None:
+        rng.label_keys(seed, 1, keys[m:])
+    else:                            # exact: each label * 2^53 is an integer
+        np.multiply(shallow, 2.0 ** 53, out=keys[m:], casting="unsafe")
+        keys[m:] <<= np.uint64(11)
+    keys[m:] |= np.uint64(1)
+    rng.label_keys(seed, lo, keys[:m])
+    keys.sort()
+    counts = np.empty(size + 1, dtype=np.int32)   # counts stay below 2^26
+    tags = keys.view(np.uint8)[0 if np.little_endian else 7 :: 8].view(bool)   # bit 0
+    j, prev = 0, -1
+    for i in range(0, keys.size, rng._BLOCK):
+        at = np.flatnonzero(tags[i : i + rng._BLOCK]) + i
+        counts[j : j + at.size] = np.diff(at, prepend=prev)
+        keys.view(np.float64)[j : j + at.size] = (keys[at] >> np.uint64(11)) * 2.0 ** -53
+        j, prev = j + at.size, (at[-1] if at.size else prev)
+    counts[-1] = keys.size - prev
+    counts -= 1                      # the keys strictly between two tags, or a tag and an end
+    del tags
+    keys.resize(size)                # in place: no copy of the labels
+    return counts, keys.view(np.float64)
+
+
 def slot_counts(seed: int, n: int, bounds: tuple[int, ...]) -> np.ndarray:
     """Row i: number of gaps with index in [b_0, b_(i+1)) per level-n
     interval, for bounds 2^n <= b_0 <= b_1 <= ... <= 2^MAX_DEPTH.
 
     A deep gap's level-n interval is the rank of its label among the
-    shallow labels omega_j (j < 2^n), so no geometry is built.  The shallow
-    labels are drawn and sorted once; each range [b_i, b_(i+1)) is then
-    drawn on its own (labels are counter-based: the same as in any deeper
-    draw), sorted in place, ranked and freed before the next is drawn, so
-    the largest range, not the whole draw, sets the peak memory.
+    shallow labels omega_j (j < 2^n), so no geometry is built.  Each range
+    [b_i, b_(i+1)) is ranked by `range_counts` from its own (counter-based)
+    draw, so the largest range, not the whole draw, sets the peak memory.
     """
     check_value(n, "level n", 0, MAX_DEPTH)
     check_value(len(bounds), "number of bounds", 2)
     for i, b in enumerate(bounds):
         check_value(b, f"bound b_{i}", bounds[i - 1] if i else 2 ** n, 2 ** MAX_DEPTH)
-    shallow = rng.uniforms(seed, 1, 2 ** n)
-    shallow.sort()               # in place: a sorted copy added 24 MiB to a W=23 RSS peak
-    rows = np.empty((len(bounds) - 1, 2 ** n), dtype=np.int32)   # counts stay below 2^26
-    for i, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
-        deep = rng.uniforms(seed, lo, hi)
-        deep.sort()
-        rows[i, :-1] = np.searchsorted(deep, shallow, side="right")
-        del deep                     # free the range before the next is drawn
-        rows[i, -1] = hi - lo
-        rows[i, 1:] -= rows[i, :-1]  # ranks to labels per interval; numpy buffers the overlap
+    rows = np.empty((len(bounds) - 1, 2 ** n), dtype=np.int32)
+    for i, (lo, hi) in enumerate(zip(bounds, bounds[1:])):   # shallow labels drawn once
+        rows[i], shallow = range_counts(seed, n, lo, hi, shallow if i else None)
         if i:
             rows[i] += rows[i - 1]
     return rows
 
 
-def has_empty_interval(seed: int, n: int, row: np.ndarray, lo: int, hi: int) -> bool:
-    """``(row + slot_counts(seed, n, (lo, hi))[0]).min() == 0`` for n >= 1, by one witness: the
-    shortest interval empty in ``row``; only a label of [lo, hi) in it ranks the range."""
+def has_empty_interval(seed: int, n: int, row: np.ndarray, lo: int, hi: int,
+                       shallow: np.ndarray) -> bool:
+    """``(row + slot_counts(seed, n, (lo, hi))[0]).min() == 0`` for n >= 1 and the sorted shallow
+    labels, by one witness: the shortest interval empty in ``row``; only a hit ranks [lo, hi)."""
     if row.min() > 0:
         return False                 # the range only adds gaps
-    s = rng.uniforms(seed, 1, 2 ** n)
-    s.sort()                         # in place: interval j is (s_(j-1), s_j], from 0 to 1
-    j = np.flatnonzero(row == 0)
-    left = np.where(j > 0, s.take(j - 1, mode="clip"), 0.0)
-    right = np.where(j < s.size, s.take(j, mode="clip"), 1.0)
+    j = np.flatnonzero(row == 0)     # interval j is (s_(j-1), s_j], from 0 to 1
+    left = np.where(j > 0, shallow.take(j - 1, mode="clip"), 0.0)
+    right = np.where(j < shallow.size, shallow.take(j, mode="clip"), 1.0)
     k = np.argmin(right - left)
     a, b = (left[k] if j[k] else -1.0), right[k]   # a label of 0 lies in interval 0
-    del s, j, left, right            # free the shallow labels before the range is drawn
-    deep = rng.uniforms(seed, lo, hi)
-    hit = any(((x > a) & (x <= b)).any()   # one block at a time: no full-size masks
-              for x in (deep[i : i + rng._BLOCK] for i in range(0, deep.size, rng._BLOCK)))
-    del deep                         # free the range before a hit ranks it afresh
-    return not hit or bool((row + slot_counts(seed, n, (lo, hi))[0]).min() == 0)
+
+    def hit(i):                      # one chunk at a time: it is freed on return
+        x = rng.uniforms(seed, i, min(i + 2 ** 20, hi))
+        return ((x > a) & (x <= b)).any()
+
+    return (not any(map(hit, range(lo, hi, 2 ** 20)))
+            or bool((row + slot_counts(seed, n, (lo, hi))[0]).min() == 0))

@@ -71,6 +71,13 @@ def uniforms(seed: int, start: int, stop: int) -> np.ndarray:
     return u
 
 
+def label_keys(seed: int, start: int, out: np.ndarray) -> None:
+    """Fill the uint64 array ``out`` with the words of counters start, start + 1, ... with
+    bits 0..10 cleared: keys that sort as the labels (key >> 11) * 2^-53 of `uniforms`."""
+    for z in _word_blocks(seed, start, out):
+        z &= np.uint64(_MASK ^ 0x7FF)
+
+
 def bin_indices(seed: int, start: int, stop: int, n_bins_log2: int) -> np.ndarray:
     """Uniform bin labels in [0, 2^n_bins_log2) from the top output bits."""
     idx = np.empty(max(stop - start, 0), dtype=np.int64)

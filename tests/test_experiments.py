@@ -102,9 +102,9 @@ def test_max_load_small_case_reproducible():
 
 def test_max_load_trials_equal_the_single_draw(monkeypatch):
     # M_n from row 0 and empty_bin from the nested row, counted from one draw of every label
-    ranked, slot_counts = [], randmodel.slot_counts
-    monkeypatch.setattr(randmodel, "slot_counts",
-                        lambda *args: ranked.append(args[2]) or slot_counts(*args))
+    ranked, range_counts = [], randmodel.range_counts
+    monkeypatch.setattr(randmodel, "range_counts",
+                        lambda *args: ranked.append(args[2:4]) or range_counts(*args))
     fallbacks = 0
     for w, n, phi_n, master_seed in [(12, 8, 2, 5), (14, 10, 2, 3)]:
         ext = phi_n + math.floor(experiments.LOAD_CUTOFF_A * math.log(n))
@@ -749,7 +749,8 @@ def no_trials(monkeypatch):
     """Every trial draws labels, balls or a random set; make each of them fail."""
     def trial_ran(*args, **kwargs):
         raise AssertionError("a trial ran before validation finished")
-    for module, name in ((randmodel, "build_set"), (rng, "uniforms"), (rng, "bin_indices")):
+    for module, name in ((randmodel, "build_set"), (rng, "uniforms"), (rng, "label_keys"),
+                         (rng, "bin_indices")):
         monkeypatch.setattr(module, name, trial_ran)
 
 
@@ -910,3 +911,17 @@ def test_manifest_builds_each_set_once_for_all_dichotomy_entries(entries, monkey
     run_manifest(manifest, workers=2)
     assert len(built) == 3 * (manifest["trials"] + 1)
     assert len(set(built)) == 6        # (depth, arrangement): every set is built once
+
+
+def test_dichotomy_builds_the_deepest_sets_first(monkeypatch):
+    # the longest tasks are not left to the end of the pool: one worker builds in
+    # non-increasing depth, and the report is the one of the task order
+    built = []
+    build_set = randmodel.build_set
+    monkeypatch.setattr(randmodel, "build_set",
+                        lambda *args, **kwargs: built.append(args[1]) or build_set(*args, **kwargs))
+    f = make_dimension_function("constant", 0.5)
+    rep = run_dichotomy_experiment(MID, f, 14, 2, 5, small_policies(), workers=1)
+    assert built == sorted(built, reverse=True) and sorted(set(built)) == [8, 11, 14]
+    assert len(built) == 3 * (2 + 1)
+    assert [d["depth"] for d in rep["depths"]] == [8, 11, 14]

@@ -325,8 +325,9 @@ def test_slot_counts_draws_only_the_gaps_it_ranks(monkeypatch):
     # the counts of a draw as deep as W = 12: labels are counter-based
     slow = [np.bincount(rank_slots(5, 12, 6, np.arange(bounds[0], hi)), minlength=2 ** 6)
             for hi in bounds[1:]]
-    draws, uniforms = [], rng.uniforms
-    monkeypatch.setattr(rng, "uniforms", lambda *args: draws.append(args) or uniforms(*args))
+    draws, label_keys = [], rng.label_keys
+    monkeypatch.setattr(rng, "label_keys", lambda seed, start, out:
+                        draws.append((seed, start, start + out.size)) or label_keys(seed, start, out))
     assert np.array_equal(slot_counts(5, 6, bounds), slow)
     assert draws == [(5, 1, 2 ** 6), (5, 2 ** 6, 2 ** 8), (5, 2 ** 8, 2 ** 9)]
 
@@ -360,6 +361,55 @@ def test_slot_counts_holds_one_range_at_a_time():
         assert (peak <= limit) == (counts is slot_counts), (counts.__name__, peak, limit)
 
 
+@pytest.mark.parametrize("n,lo,hi", [
+    (0, 1, 1), (0, 1, 9), (0, 5, 2 ** 16 + 3),       # n = 0: one interval, no shallow labels
+    (3, 8, 8), (4, 100, 100),                          # an empty range
+    (3, 11, 40), (6, 64, 2 ** 12), (10, 2 ** 10, 2 ** 14), (12, 2 ** 12, 2 ** 12 + 5),
+])
+@pytest.mark.parametrize("seed", [1, 5, 99])
+def test_range_counts_equal_the_single_draw_and_return_the_sorted_shallow_labels(seed, n, lo, hi):
+    counts, shallow = randmodel.range_counts(seed, n, lo, hi)
+    assert counts.dtype == np.int32
+    assert np.array_equal(counts, single_draw_slot_counts(seed, n, (lo, hi))[0])
+    want = np.sort(rng.uniforms(seed, 1, 2 ** n))
+    assert shallow.dtype == want.dtype and shallow.tobytes() == want.tobytes()
+    again, _ = randmodel.range_counts(seed, n, lo, hi, shallow)   # keyed from the labels
+    assert np.array_equal(again, counts)
+
+
+def test_range_counts_count_a_deep_label_equal_to_a_shallow_one_at_or_below_it(monkeypatch):
+    # hand-made keys: deep labels equal to shallow ones, and two equal shallow labels; the
+    # counts follow np.searchsorted(side="right") of the sorted shallow labels
+    n, lo, hi = 2, 4, 11
+    shallow = np.array([300, 100, 300], dtype=np.uint64)
+    deep = np.array([100, 300, 50, 300, 400, 100, 200], dtype=np.uint64)
+
+    def label_keys(seed, start, out):
+        out[:] = (shallow if start == 1 else deep) << np.uint64(11)
+
+    monkeypatch.setattr(rng, "label_keys", label_keys)
+    counts, labels = randmodel.range_counts(0, n, lo, hi)
+    s, d = np.sort(shallow * 2.0 ** -53), np.sort(deep * 2.0 ** -53)
+    ranks = np.searchsorted(d, s, side="right")
+    assert counts.tolist() == np.diff(ranks, prepend=0, append=d.size).tolist() == [3, 3, 0, 1]
+    assert labels.tolist() == s.tolist()
+
+
+def test_range_counts_hold_the_keys_and_the_counts():
+    # peak: one uint64 key per label of the range and the shallow gaps, the int32 counts
+    # and two blocks of scratch words; the sorted shallow labels take the keys' place
+    n, lo, hi = 16, 2 ** 16, 2 ** 18
+    randmodel.range_counts(3, 10, 2 ** 10, 2 ** 12)   # warm up outside the trace
+    tracemalloc.start()
+    try:
+        counts, shallow = randmodel.range_counts(7, n, lo, hi)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held <= 12 * 2 ** n + 2 ** 10
+    assert peak <= 8 * (hi - lo + 2 ** n) + 4 * 2 ** n + 2 * 8 * rng._BLOCK, peak
+
+
 @pytest.mark.parametrize("n,bounds", [
     (1, (2, 2, 9)), (4, (16, 16, 16)), (4, (16, 20, 20)),   # two intervals; empty ranges
     (6, (64, 256, 512)), (8, (256, 1024, 2048)), (10, (2 ** 10, 2 ** 12, 2 ** 13)),
@@ -371,14 +421,15 @@ def test_has_empty_interval_equals_the_single_draw(seed, n, bounds):
     b0, lo, hi = bounds
     row = single_draw_slot_counts(seed, n, (b0, lo))[0]
     want = (row + single_draw_slot_counts(seed, n, (lo, hi))[0]).min() == 0
-    got = randmodel.has_empty_interval(seed, n, row, lo, hi)
+    got = randmodel.has_empty_interval(seed, n, row, lo, hi, np.sort(rng.uniforms(seed, 1, 2 ** n)))
     assert type(got) is bool and got == want
 
 
 def test_has_empty_interval_draws_nothing_for_a_row_without_zeros(monkeypatch):
+    shallow = np.sort(rng.uniforms(5, 1, 2 ** 6))
     draws, uniforms = [], rng.uniforms
     monkeypatch.setattr(rng, "uniforms", lambda *args: draws.append(args) or uniforms(*args))
-    assert not randmodel.has_empty_interval(5, 6, np.ones(64, dtype=np.int32), 64, 2 ** 12)
+    assert not randmodel.has_empty_interval(5, 6, np.ones(64, dtype=np.int32), 64, 2 ** 12, shallow)
     assert draws == []
 
 
@@ -391,6 +442,7 @@ def test_has_empty_interval_settles_on_the_witness_or_ranks_the_range(monkeypatc
     miss = np.flatnonzero(counts == 0)
     miss = miss[np.argmax(width[miss])]            # the widest interval no label falls in
     assert width[hit] < width[miss]
+    shallow = np.sort(rng.uniforms(seed, 1, 2 ** n))
     ranked, slot_counts_ = [], randmodel.slot_counts
     monkeypatch.setattr(randmodel, "slot_counts",
                         lambda *args: ranked.append(args) or slot_counts_(*args))
@@ -402,23 +454,43 @@ def test_has_empty_interval_settles_on_the_witness_or_ranks_the_range(monkeypatc
         row = np.ones(2 ** n, dtype=np.int32)
         row[list(zeros)] = 0
         ranked.clear()
-        assert randmodel.has_empty_interval(seed, n, row, lo, hi) is want, zeros
+        assert randmodel.has_empty_interval(seed, n, row, lo, hi, shallow) is want, zeros
         assert ranked == ([(seed, n, (lo, hi))] if falls_back else []), zeros
 
 
 def test_has_empty_interval_holds_the_range_and_one_block(monkeypatch):
-    # the witness path: the range's draw and one block's masks and scratch, never a
-    # full-size mask (2 MiB here)
+    # the witness path: one chunk of the range's labels and its masks at a time, within
+    # the range's draw and 1 MiB
     n, lo, hi = 14, 2 ** 14, 2 ** 21
-    randmodel.has_empty_interval(3, 6, np.zeros(64, dtype=np.int32), 64, 2 ** 8)   # warm up
+    randmodel.has_empty_interval(3, 6, np.zeros(64, dtype=np.int32), 64, 2 ** 8,
+                                 np.sort(rng.uniforms(3, 1, 2 ** 6)))   # warm up
+    shallow = np.sort(rng.uniforms(5, 1, 2 ** n))
     monkeypatch.setattr(randmodel, "slot_counts", None)          # the witness must hold
     tracemalloc.start()
     try:
-        assert randmodel.has_empty_interval(5, n, np.zeros(2 ** n, dtype=np.int32), lo, hi)
+        assert randmodel.has_empty_interval(5, n, np.zeros(2 ** n, dtype=np.int32), lo, hi, shallow)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak <= 8 * (hi - lo) + 2 ** 20, peak
+
+
+def test_has_empty_interval_draws_the_range_a_chunk_at_a_time(monkeypatch):
+    # 2^22 labels (32 MiB) tested 2^20 at a time: one chunk and its masks at once
+    n, lo, hi = 6, 2 ** 6, 2 ** 22
+    row = np.zeros(2 ** n, dtype=np.int32)
+    row[1:] = 1                      # interval 0 = [0, s_0] is the witness
+    shallow = np.sort(rng.uniforms(5, 1, 2 ** n))
+    shallow[0] = 0.0                 # so no label of the range lies in it
+    randmodel.has_empty_interval(5, n, row, lo, 2 ** 8, shallow)   # warm up
+    monkeypatch.setattr(randmodel, "slot_counts", None)          # the witness must hold
+    tracemalloc.start()
+    try:
+        assert randmodel.has_empty_interval(5, n, row, lo, hi, shallow)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 11 * 2 ** 20 + 8 * rng._BLOCK, peak
 
 
 def test_slot_counts_rejects_bounds_outside_the_deep_gaps():

@@ -81,6 +81,20 @@ def test_draws_equal_the_full_array_words():
                                       (words >> np.uint64(64 - bits)).astype(np.int64))
 
 
+def test_label_keys_sort_as_the_uniforms_and_hold_their_labels():
+    # bits 0..10 clear and key >> 11 == label * 2^53: the keys sort as the labels, ties
+    # included, from any start, block-aligned or not
+    block = rng._BLOCK
+    for seed in (0, 99, rng.derive_seed(5, 2)):
+        for start, length in ((1, 2 ** 12 - 1), (block - 7, 2 * block + 3), (2 ** 40, 500), (3, 0)):
+            u = rng.uniforms(seed, start, start + length)
+            keys = np.empty(length, dtype=np.uint64)
+            rng.label_keys(seed, start, keys)
+            assert not (keys & np.uint64(0x7FF)).any()
+            assert np.array_equal((keys >> np.uint64(11)).astype(np.float64), u * 2.0 ** 53)
+            assert np.array_equal(np.argsort(keys, kind="stable"), np.argsort(u, kind="stable"))
+
+
 def test_uniforms_allocate_little_beyond_their_output():
     tracemalloc.start()
     try:
