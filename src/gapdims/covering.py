@@ -117,13 +117,11 @@ def _cover_counts(lefts, rights, lo, hi, r) -> np.ndarray:
         a, b = first.min(), stop.max()
         starts = np.append(a, cut[(cut > a) & (cut < b) & (space > limit)])
         lasts = np.append(starts[1:], b) - 1
-        # a break is wider than 0, so a cluster's segments end where the next one's start:
-        # search only the two outer ends and ends at segments rounded inside out
+        # a break is wider than 0 and no segment is inside out, so a cluster's segments end
+        # where the next one's start: search only the two outer ends
         ranges = starts.copy(), lasts + 1
-        seek = np.flatnonzero(lefts[starts] > rights[starts]).tolist() + [0]
-        ranges[0][seek] = np.searchsorted(rights, lefts[starts[seek]], side="left")
-        seek = np.flatnonzero(lefts[lasts] > rights[lasts]).tolist() + [-1]
-        ranges[1][seek] = np.searchsorted(lefts, rights[lasts[seek]], side="right")
+        ranges[0][0] = np.searchsorted(rights, lefts[starts[0]], side="left")
+        ranges[1][-1] = np.searchsorted(lefts, rights[lasts[-1]], side="right")
         full = _lockstep_counts(lefts, rights, lefts[starts], rights[lasts],
                                 np.full(starts.size, 2.0 * radius), ranges)
         head = np.searchsorted(starts, first, side="right") - 1

@@ -33,6 +33,13 @@ _FAMILIES = ("zero", "constant", "inverse-log", "psi", "scaled-psi", "power-log"
 _GRID_POINTS = 1200
 _DOMAIN_FLOOR = 1e-280   # smallest x a dimension function accepts
 _LOG_TOL = 1e-9  # relative slack on log-space threshold comparisons
+SMALL_LOAD_RATIO = 0.95   # Phi is small at level n while load_ratio(n, phi(n)) stays below
+
+
+def load_ratio(n: int, phi: int) -> float:
+    """rho = 2^phi / ln(2^n): a level-n interval's mean load of gaps from the next phi levels
+    over ln of the number of intervals.  The small-Phi hypothesis is 2^phi << n ln 2."""
+    return 2.0 ** phi / (n * math.log(2.0))
 
 
 @dataclass(frozen=True)
@@ -144,23 +151,20 @@ class DepthTable:
 
     @property
     def regime(self) -> str:
-        """Heuristic trend of phi(n)/ln(n) over the top half of the table.
+        """The small-Phi hypothesis read from the load ratio rho = `load_ratio(n, phi(n))`.
 
-        "large" means phi(n) >> log n plausibly holds, "small" the reverse;
-        tables of fewer than 64 levels are "indeterminate".  This is a
-        diagnostic; no experiment reads it.
+        "small": phi takes one value at every tabulated level and rho at the
+        deepest level is below `SMALL_LOAD_RATIO`, the max-load guard's bound;
+        "large": rho at the deepest level is at least that bound and above rho
+        at the middle level; otherwise "indeterminate".  This is a diagnostic;
+        no experiment reads it.
         """
-        if len(self.phi_values) < 64:
-            return "indeterminate"
-        ns = np.arange(self.n_min, self.n_max + 1)
-        half = len(ns) // 2
-        ns, phis = ns[half:], self.phi_values[half:]
-        ratio = phis / np.log(ns)
-        slope = np.polyfit(ns, ratio, 1)[0]
-        if ratio[-1] > 4.0 and slope > 0:
-            return "large"
-        if ratio[-1] < 0.25 and slope <= 0:
+        phis, half = self.phi_values, len(self.phi_values) // 2
+        mid, last = load_ratio(self.n_min + half, phis[half]), load_ratio(self.n_max, phis[-1])
+        if np.all(phis == phis[0]) and last < SMALL_LOAD_RATIO:
             return "small"
+        if SMALL_LOAD_RATIO <= last and mid < last:
+            return "large"
         return "indeterminate"
 
     def phi(self, n: int) -> int:

@@ -18,7 +18,7 @@ import numpy as np
 from . import randmodel, rng
 from .cantor import box_dim_estimate, lower_phi_dim_formula, upper_phi_dim_formula
 from .covering import WindowPolicy, estimate_dimension
-from .dimfuncs import DimensionFunction, depth_function
+from .dimfuncs import SMALL_LOAD_RATIO, DimensionFunction, depth_function, load_ratio
 from .errors import (
     DepthUnsupportedError,
     GapdimsError,
@@ -202,8 +202,7 @@ def _check_max_load(a: GapSequence, w: int, n: int, phi_n: int) -> None:
     check_value(phi_n, "phi_n", 1)
     if w < n + phi_n:
         raise DepthUnsupportedError(f"need W >= n + phi_n = {n + phi_n}, got {w}")
-    margin = 0.05
-    if 2 ** phi_n >= (n * _LN2) * (1.0 - margin):
+    if load_ratio(n, phi_n) >= SMALL_LOAD_RATIO:
         raise OutOfRegimeError(
             f"2^phi_n = {2 ** phi_n} not << ln(2^n) = {n * _LN2:.2f}")
 

@@ -150,7 +150,8 @@ def build_set(sequence: GapSequence, w: int, arrangement: str, seed: int | None 
     else:
         raise InvalidRangeError(f"unknown arrangement {arrangement!r}")
     # slot p | gap p | slot p+1 | gap p+1 | ... ; endpoints by prefix sums, one block at a
-    # time: each block's gap prefix sum, in lefts until laid out, starts from the carry
+    # time: each block's gap prefix sum, in lefts until laid out, starts from the carry.
+    # A slot of rounding-size mass may end below its start: its left is clamped to its right.
     rights = np.cumsum(slot_mass)
     lefts = np.empty(m + 1)
     lefts[0] = carry = 0.0
@@ -162,26 +163,22 @@ def build_set(sequence: GapSequence, w: int, arrangement: str, seed: int | None 
         np.cumsum(run, out=run)
         carry = run[-1]
         rights[i + 1 : i + 1 + run.size] += run
+        rights[m] = 1.0              # the last right is 1 exactly, before its left is clamped
         np.add(rights[i : i + run.size], gap_len, out=run)
+        np.minimum(run, rights[i + 1 : i + 1 + run.size], out=run)
         del gap_len                  # before the next block's lengths are made
-    rights[-1] = 1.0
     return ApproxSet(w=w, order=order, lefts=lefts, rights=rights, slot_mass=slot_mass)
 
 
-def range_counts(seed: int, n: int, lo: int, hi: int,
-                 shallow: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+def range_counts(seed: int, n: int, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
     """(counts, shallow): the gaps of a range [lo, hi) that `slot_counts` accepts per level-n
     interval, and the sorted shallow labels, by one in-place sort of their `rng.label_keys`.
     Shallow keys are tagged in bit 0, so a deep label equal to s_j sorts first and counts in
     interval j = (s_(j-1), s_j] as in `searchsorted(side="right")`.  Label j overwrites key
-    j <= its tag, already read.  ``shallow`` of an earlier call (same seed, n) is keyed."""
+    j <= its tag, already read."""
     m, size = hi - lo, 2 ** n - 1
     keys = np.empty(m + size, dtype=np.uint64)
-    if shallow is None:
-        rng.label_keys(seed, 1, keys[m:])
-    else:                            # exact: each label * 2^53 is an integer
-        np.multiply(shallow, 2.0 ** 53, out=keys[m:], casting="unsafe")
-        keys[m:] <<= np.uint64(11)
+    rng.label_keys(seed, 1, keys[m:])
     keys[m:] |= np.uint64(1)
     rng.label_keys(seed, lo, keys[:m])
     keys.sort()
@@ -214,8 +211,8 @@ def slot_counts(seed: int, n: int, bounds: tuple[int, ...]) -> np.ndarray:
     for i, b in enumerate(bounds):
         check_value(b, f"bound b_{i}", bounds[i - 1] if i else 2 ** n, 2 ** MAX_DEPTH)
     rows = np.empty((len(bounds) - 1, 2 ** n), dtype=np.int32)
-    for i, (lo, hi) in enumerate(zip(bounds, bounds[1:])):   # shallow labels drawn once
-        rows[i], shallow = range_counts(seed, n, lo, hi, shallow if i else None)
+    for i, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+        rows[i] = range_counts(seed, n, lo, hi)[0]
         if i:
             rows[i] += rows[i - 1]
     return rows

@@ -122,7 +122,8 @@ def reference_set(sequence, w: int, arrangement: str, seed=None) -> tuple:
     """(order, lefts, rights, slot_mass) of ``build_set``, with the random
     order by ``np.argsort``, the Cantor order by inverting ``cantor_positions``,
     the random spacings from a concatenated copy of the sorted labels and
-    ``np.diff``, and the gap lengths by ``frexp_gap_lengths``."""
+    ``np.diff``, the gap lengths by ``frexp_gap_lengths``, and each left
+    clamped to its right after the layout, in one full-size pass."""
     m = 2 ** w - 1
     tail = sequence.tail_mass(w)
     if arrangement == "random":
@@ -147,6 +148,7 @@ def reference_set(sequence, w: int, arrangement: str, seed=None) -> tuple:
     lefts = np.empty(m + 1)
     lefts[0] = 0.0
     np.add(rights[:-1], gap_len, out=lefts[1:])
+    np.minimum(lefts, rights, out=lefts)   # no segment laid out inside out
     return order, lefts, rights, slot_mass
 
 

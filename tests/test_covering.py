@@ -203,9 +203,8 @@ def test_one_call_with_several_wide_radii_equals_one_call_per_radius(lockstep_ba
 
 
 def test_cluster_batches_get_the_ranges_a_search_finds(monkeypatch):
-    # a break is wider than 0, so a cluster's segments end where the next one's start;
-    # the outer ends are searched, and so are ends at a segment that rounding turned
-    # inside out (lefts > rights), which a decreasing arrangement has by the thousand
+    # a break is wider than 0 and no segment is inside out (lefts > rights), so a cluster's
+    # segments end where the next one's start; only the outer ends are searched
     monkeypatch.setattr(covering, "_LOCKSTEP_BALLS", 0)
     calls = []
 
@@ -215,13 +214,13 @@ def test_cluster_batches_get_the_ranges_a_search_finds(monkeypatch):
 
     monkeypatch.setattr(covering, "_lockstep_counts", spy)
     s = build_set(MID, 14, "decreasing")
-    assert np.count_nonzero(s.lefts > s.rights) > 1000
+    assert not np.any(s.lefts > s.rights)   # where rounding would leave thousands inside out
     cases = [(s.lefts, s.rights, [(-0.1, 1.1), (0.2, 0.9), (0.5, 1.0)]),
              # the first or last segment a window meets touches its neighbour (a zero space)
              (np.array([0.0, 0.1, 0.3, 0.6, 0.85]), np.array([0.05, 0.3, 0.5, 0.8, 1.0]),
               [(0.3, 1.0), (np.nextafter(0.3, 1.0), 0.95), (0.06, 0.3), (0.06, 0.25)])]
+    off_start = 0   # clusters whose first segment is not the one at their left end
     for lefts, rights, spans in cases:
-        off_start = 0   # clusters whose first segment is not the one at their left end
         for lo, hi in spans:   # one call per window: its first cluster starts the scan
             calls.clear()
             batched_counts(lefts, rights, [(lo, hi, r) for r in (1e-4, 0.02, 0.05, 0.11)])
@@ -231,7 +230,11 @@ def test_cluster_batches_get_the_ranges_a_search_finds(monkeypatch):
                 assert np.array_equal(idx, np.searchsorted(rights, starts, side="left"))
                 assert np.array_equal(end, np.searchsorted(lefts, stops, side="right"))
                 off_start += np.count_nonzero(idx != np.searchsorted(lefts, starts, side="left"))
-        assert off_start > 0
+        lo, hi = (np.array(col) for col in zip(*spans))
+        for r in (1e-4, 0.02, 0.05, 0.11):   # the cluster path counts as one lockstep sweep
+            assert batched_counts(lefts, rights, [(a, b, r) for a, b in spans]) == \
+                _lockstep_counts(lefts, rights, lo, hi, np.full(lo.size, 2.0 * r)).tolist()
+    assert off_start > 0   # at the zero spaces
     lefts, rights, spans = cases[1]
     for r in (0.02, 0.05):
         assert batched_counts(lefts, rights, [(lo, hi, r) for lo, hi in spans]) == \

@@ -13,6 +13,7 @@ from gapdims import (
     make_dimension_function,
     make_sequence,
 )
+from gapdims.cli import parse_phi
 
 from helpers import eval_phi
 
@@ -95,6 +96,24 @@ def test_regimes():
     assert depth_function(make_dimension_function("constant", 1.0), p, 150).regime == "large"
     assert depth_function(make_dimension_function("zero"), p, 150).regime == "small"
     assert depth_function(make_dimension_function("inverse-log", 1.0), p, 150).regime == "small"
+
+
+_PHIS = ("zero", "invlog:1", "invlog:3", "const:0.01", "psi", "const:0.05", "scaled-psi:2",
+         "powerlog:0.5", "const:0.5", "const:1")
+_SHALLOW = (("zero", "invlog:1", "invlog:3", "const:0.01"), ("psi", "const:0.05"))
+
+
+@pytest.mark.parametrize("levels, n_max, small, indeterminate", [
+    (60, 59, *_SHALLOW),   # a dichotomy's table
+    (64, 64, *_SHALLOW),   # `dims` at its default
+    (200, 200, ("zero", "invlog:1", "invlog:3"), ("const:0.01", "psi")),
+])
+def test_regime_reads_the_load_ratio_on_middle_third(levels, n_max, small, indeterminate):
+    # every Phi not listed small or indeterminate reads large
+    p = level_sums(MID, levels)
+    assert {phi: depth_function(parse_phi(phi), p, n_max, clip=True).regime for phi in _PHIS} == {
+        **dict.fromkeys(_PHIS, "large"), **dict.fromkeys(small, "small"),
+        **dict.fromkeys(indeterminate, "indeterminate")}
 
 
 def test_psi_depth_grows_slower_than_linear():

@@ -78,6 +78,18 @@ def test_max_load_regime_guards():
         max_load_statistic(three, 14, 10, 2, 5, 1)   # counts gaps the sequence lacks
 
 
+def test_max_load_guard_refuses_exactly_the_loads_not_small_against_ln():
+    for n in range(1, 26):
+        for phi_n in range(1, 27 - n):
+            refused = 2 ** phi_n >= 0.95 * n * math.log(2.0)
+            try:
+                experiments._check_max_load(MID, n + phi_n, n, phi_n)
+            except OutOfRegimeError as err:
+                assert refused and "not << ln" in str(err), (n, phi_n)
+            else:
+                assert not refused, (n, phi_n)
+
+
 @pytest.mark.parametrize("w", [True, 10.5, "14"])
 def test_max_load_and_interval_length_refuse_a_depth_that_is_not_an_integer(w):
     with pytest.raises(DepthUnsupportedError, match=r"depth W must be an integer in \[1, 26\]"):

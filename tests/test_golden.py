@@ -12,7 +12,8 @@ regenerates the file in the same commit, with
 
     PYTHONPATH=src python tests/test_golden.py
 
-and says in its change log entry which digests moved.
+which prints the names of the digests it changes, and says in its change
+log entry which digests moved.
 """
 
 import contextlib
@@ -105,19 +106,28 @@ def digests() -> dict:
     return {name: hashlib.sha256(data).hexdigest() for name, data in sorted(outputs().items())}
 
 
+def moved(golden: dict, got: dict) -> list[str]:
+    """Names of the outputs whose digest differs, is new, or is gone."""
+    return sorted(name for name in golden.keys() | got.keys() if golden.get(name) != got.get(name))
+
+
 def test_outputs_match_the_golden_digests():
     with open(GOLDEN) as fh:
         golden = json.load(fh)
     assert golden["versions"] == versions(), (
         f"the golden digests were made with {golden['versions']}, this is {versions()}; "
         "check the outputs against those versions, then regenerate")
-    got = digests()
-    moved = sorted(name for name in golden["digests"].keys() | got.keys()
-                   if golden["digests"].get(name) != got.get(name))
-    assert not moved, f"outputs differ from tests/golden.json: {moved}"
+    changed = moved(golden["digests"], digests())
+    assert not changed, f"outputs differ from tests/golden.json: {changed}"
 
 
 if __name__ == "__main__":
+    old = {}
+    if os.path.exists(GOLDEN):
+        with open(GOLDEN) as fh:
+            old = json.load(fh)["digests"]
+    new = digests()
+    print("digests moved:", ", ".join(moved(old, new)) or "none")
     with open(GOLDEN, "w") as fh:
-        json.dump({"versions": versions(), "digests": digests()}, fh, indent=1, sort_keys=True)
+        json.dump({"versions": versions(), "digests": new}, fh, indent=1, sort_keys=True)
         fh.write("\n")
