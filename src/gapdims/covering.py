@@ -26,7 +26,7 @@ set at the scales in play.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Collection
 from dataclasses import asdict, dataclass, field, fields
 from functools import cached_property
 from typing import NamedTuple
@@ -270,7 +270,7 @@ def _pick_centers(s: ApproxSet, n: int, max_centers: int) -> np.ndarray:
 
 
 @dataclass(eq=False)
-class _Windows(Sequence):
+class _Windows:
     """Read-only windows (n, k, x, R, r), stored as rungs (n, k, centers, R, r)."""
 
     rungs: list
@@ -278,21 +278,12 @@ class _Windows(Sequence):
     def __len__(self) -> int:
         return sum(centers.size for _, _, centers, _, _ in self.rungs)
 
-    def __getitem__(self, i):   # an index walks the rung sizes; a slice makes every tuple
-        if isinstance(i, slice):
-            return list(self)[i]
-        j = range(len(self))[i]      # as a list: from the end if negative, else IndexError
-        for n, k, xs, big_r, r in self.rungs:
-            if j < xs.size:
-                return n, k, float(xs[j]), big_r, r
-            j -= xs.size
-
     def __iter__(self):
         return ((n, k, x, big_r, r) for n, k, xs, big_r, r in self.rungs for x in xs.tolist())
 
 
 def enumerate_windows(s: ApproxSet, d: DepthTable,
-                      policy: WindowPolicy) -> Sequence[tuple[int, int, float, float, float]]:
+                      policy: WindowPolicy) -> Collection[tuple[int, int, float, float, float]]:
     """Admissible (n, k, x, R, r) windows under the policy.
 
     R is the level-n scale s_n of ``d.profile``, shaved by RADIUS_SHRINK,

@@ -230,7 +230,7 @@ def max_load_statistic(
     bounds = (2 ** n, 2 ** (n + phi_n)) + ((2 ** (n + ext),) if w >= n + ext else ())
 
     def trial(seed):
-        row, shallow = randmodel.range_counts(seed, n, *bounds[:2])
+        row, shallow = randmodel.slot_counts(seed, n, *bounds[:2])
         extension = ({"empty_bin": randmodel.has_empty_interval(seed, n, row, *bounds[1:], shallow)}
                      if len(bounds) > 2 else {})
         return {"M_n": int(row.max()), "K_n": k_n, **extension}

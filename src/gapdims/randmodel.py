@@ -170,12 +170,18 @@ def build_set(sequence: GapSequence, w: int, arrangement: str, seed: int | None 
     return ApproxSet(w=w, order=order, lefts=lefts, rights=rights, slot_mass=slot_mass)
 
 
-def range_counts(seed: int, n: int, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-    """(counts, shallow): the gaps of a range [lo, hi) that `slot_counts` accepts per level-n
-    interval, and the sorted shallow labels, by one in-place sort of their `rng.label_keys`.
-    Shallow keys are tagged in bit 0, so a deep label equal to s_j sorts first and counts in
-    interval j = (s_(j-1), s_j] as in `searchsorted(side="right")`.  Label j overwrites key
-    j <= its tag, already read."""
+def slot_counts(seed: int, n: int, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """(counts, shallow): the gaps with index in [lo, hi) per level-n interval, for
+    2^n <= lo <= hi <= 2^MAX_DEPTH, and the sorted shallow labels omega_j (j < 2^n).
+
+    A deep gap's level-n interval is the rank of its label among the shallow labels, so no
+    geometry is built: one in-place sort of their `rng.label_keys` ranks the range.  Shallow
+    keys are tagged in bit 0, so a deep label equal to s_j sorts first and counts in interval
+    j = (s_(j-1), s_j] as in `searchsorted(side="right")`.  Label j overwrites key j <= its
+    tag, already read."""
+    check_value(n, "level n", 0, MAX_DEPTH)
+    check_value(lo, "lo", 2 ** n, 2 ** MAX_DEPTH)
+    check_value(hi, "hi", lo, 2 ** MAX_DEPTH)
     m, size = hi - lo, 2 ** n - 1
     keys = np.empty(m + size, dtype=np.uint64)
     rng.label_keys(seed, 1, keys[m:])
@@ -197,30 +203,9 @@ def range_counts(seed: int, n: int, lo: int, hi: int) -> tuple[np.ndarray, np.nd
     return counts, keys.view(np.float64)
 
 
-def slot_counts(seed: int, n: int, bounds: tuple[int, ...]) -> np.ndarray:
-    """Row i: number of gaps with index in [b_0, b_(i+1)) per level-n
-    interval, for bounds 2^n <= b_0 <= b_1 <= ... <= 2^MAX_DEPTH.
-
-    A deep gap's level-n interval is the rank of its label among the
-    shallow labels omega_j (j < 2^n), so no geometry is built.  Each range
-    [b_i, b_(i+1)) is ranked by `range_counts` from its own (counter-based)
-    draw, so the largest range, not the whole draw, sets the peak memory.
-    """
-    check_value(n, "level n", 0, MAX_DEPTH)
-    check_value(len(bounds), "number of bounds", 2)
-    for i, b in enumerate(bounds):
-        check_value(b, f"bound b_{i}", bounds[i - 1] if i else 2 ** n, 2 ** MAX_DEPTH)
-    rows = np.empty((len(bounds) - 1, 2 ** n), dtype=np.int32)
-    for i, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
-        rows[i] = range_counts(seed, n, lo, hi)[0]
-        if i:
-            rows[i] += rows[i - 1]
-    return rows
-
-
 def has_empty_interval(seed: int, n: int, row: np.ndarray, lo: int, hi: int,
                        shallow: np.ndarray) -> bool:
-    """``(row + slot_counts(seed, n, (lo, hi))[0]).min() == 0`` for n >= 1 and the sorted shallow
+    """``(row + slot_counts(seed, n, lo, hi)[0]).min() == 0`` for n >= 1 and the sorted shallow
     labels, by one witness: the shortest interval empty in ``row``; only a hit ranks [lo, hi)."""
     if row.min() > 0:
         return False                 # the range only adds gaps
@@ -235,4 +220,4 @@ def has_empty_interval(seed: int, n: int, row: np.ndarray, lo: int, hi: int,
         return ((x > a) & (x <= b)).any()
 
     return (not any(map(hit, range(lo, hi, 2 ** 20)))
-            or bool((row + slot_counts(seed, n, (lo, hi))[0]).min() == 0))
+            or bool((row + slot_counts(seed, n, lo, hi)[0]).min() == 0))

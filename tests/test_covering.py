@@ -367,31 +367,8 @@ def test_enumerate_windows_is_a_sequence_of_window_tuples():
     want = [(n, k, float(x), (1.0 - RADIUS_SHRINK) * p.s[n], p.s[n + d.phi(n) + k])
             for n in (2, 4) for k in (1, 2) for x in s._center_cache[n, 8]]
     assert len(wins) == len(want) == 2 * 8 + 2 * 8
-    assert list(wins) == want and [wins[i] for i in range(len(wins))] == want
-    assert wins[-1] == want[-1] and wins[3:9] == want[3:9]
+    assert list(wins) == want
     assert all(type(win[2]) is float for win in wins)
-    with pytest.raises(IndexError):
-        wins[len(want)]
-
-
-def test_a_window_index_reads_its_rung_as_the_list_does():
-    s = build_set(MID, 12, "random", seed=5)
-    p = level_sums(MID, 30)
-    d = depth_function(make_dimension_function("zero"), p, 28, clip=True)
-    # rungs of unequal sizes: 4, 16 and 64 centers at levels 1, 3 and 5
-    wins = enumerate_windows(s, d, WindowPolicy(n_values=(1, 3, 5), k_min=1, k_max=2,
-                                                max_centers=64))
-    want = list(wins)
-    assert len({len(c) for _, _, c, _, _ in wins.rungs}) > 1
-    for i in [*range(-len(want), len(want)), np.int64(7), np.int64(-3)]:
-        assert wins[i] == want[i] and type(wins[i][2]) is float, i
-    for part in [slice(None), slice(2, 40, 3), slice(-5, None), slice(None, None, -1)]:
-        assert wins[part] == want[part]
-    for i in (len(want), -len(want) - 1, 10 ** 6):
-        with pytest.raises(IndexError):
-            wins[i]
-    with pytest.raises(TypeError):
-        wins[1.0]
 
 
 def test_estimate_equals_the_per_record_oracle():

@@ -114,9 +114,9 @@ def test_max_load_small_case_reproducible():
 
 def test_max_load_trials_equal_the_single_draw(monkeypatch):
     # M_n from row 0 and empty_bin from the nested row, counted from one draw of every label
-    ranked, range_counts = [], randmodel.range_counts
-    monkeypatch.setattr(randmodel, "range_counts",
-                        lambda *args: ranked.append(args[2:4]) or range_counts(*args))
+    ranked, slot_counts = [], randmodel.slot_counts
+    monkeypatch.setattr(randmodel, "slot_counts",
+                        lambda *args: ranked.append(args[2:4]) or slot_counts(*args))
     fallbacks = 0
     for w, n, phi_n, master_seed in [(12, 8, 2, 5), (14, 10, 2, 3)]:
         ext = phi_n + math.floor(experiments.LOAD_CUTOFF_A * math.log(n))

@@ -20,3 +20,14 @@ def test_perfbench_selftest_passes():
     done = subprocess.run([sys.executable, os.path.join(ROOT, "perfbench", "selftest.py")],
                           capture_output=True, text=True, timeout=600, cwd=ROOT)
     assert done.returncode == 0, done.stdout + done.stderr
+
+
+def test_the_tracer_times_the_max_load_ranking(monkeypatch):
+    # the tracer rebinds `randmodel.slot_counts`, so a max-load trial's ranking is its own span
+    import gapdims.cli  # noqa: F401  (the tracer resolves every module it times)
+    from gapdims import make_sequence, max_load_statistic
+    monkeypatch.syspath_prepend(os.path.join(ROOT, "perfbench"))
+    import spans
+    with spans.Tracer() as tracer:
+        max_load_statistic(make_sequence("middle-third"), 14, 10, 2, 3, 5)
+    assert tracer.calls["randmodel.slot_counts"] == 3

@@ -292,29 +292,17 @@ def test_rank_slots_equals_geometry():
 def test_slot_counts_equals_bincount_of_ranks():
     w, n, seed = 12, 5, 23
     lo, hi = 2 ** n, 2 ** (n + 3)
-    fast = slot_counts(seed, n, (lo, hi))
+    fast, _ = slot_counts(seed, n, lo, hi)
     slow = np.bincount(rank_slots(seed, w, n, np.arange(lo, hi)), minlength=2 ** n)
-    assert fast.shape == (1, 2 ** n)
-    assert np.array_equal(fast[0], slow)
-
-
-def test_slot_counts_nested_ranges_from_one_draw():
-    # each row counts [b_0, b_(i+1)), as if bincounting the ranks of that range
-    w, n, seed = 13, 6, 31
-    bounds = (2 ** n, 2 ** (n + 2), 2 ** (n + 2), 2 ** (n + 5))
-    rows = slot_counts(seed, n, bounds)
-    assert rows.shape == (3, 2 ** n)
-    for row, hi in zip(rows, bounds[1:]):
-        slow = np.bincount(rank_slots(seed, w, n, np.arange(bounds[0], hi)), minlength=2 ** n)
-        assert np.array_equal(row, slow)
-    assert np.array_equal(rows[0], rows[1])    # an empty range adds nothing
+    assert fast.shape == (2 ** n,)
+    assert np.array_equal(fast, slow)
 
 
 def test_slot_counts_sorts_the_deep_ranges_in_place():
     # the draw is the only label-sized array: shallow labels and counts are small
     tracemalloc.start()
     try:
-        slot_counts(7, 12, (2 ** 12, 2 ** 14, 2 ** 18))
+        slot_counts(7, 12, 2 ** 12, 2 ** 18)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -322,62 +310,32 @@ def test_slot_counts_sorts_the_deep_ranges_in_place():
 
 
 def test_slot_counts_draws_only_the_gaps_it_ranks(monkeypatch):
-    bounds = (2 ** 6, 2 ** 8, 2 ** 9)
     # the counts of a draw as deep as W = 12: labels are counter-based
-    slow = [np.bincount(rank_slots(5, 12, 6, np.arange(bounds[0], hi)), minlength=2 ** 6)
-            for hi in bounds[1:]]
+    slow = np.bincount(rank_slots(5, 12, 6, np.arange(2 ** 6, 2 ** 8)), minlength=2 ** 6)
     draws, label_keys = [], rng.label_keys
     monkeypatch.setattr(rng, "label_keys", lambda seed, start, out:
                         draws.append((seed, start, start + out.size)) or label_keys(seed, start, out))
-    assert np.array_equal(slot_counts(5, 6, bounds), slow)
-    # each range is ranked with the shallow labels, drawn again for it
-    assert draws == [(5, 1, 2 ** 6), (5, 2 ** 6, 2 ** 8), (5, 1, 2 ** 6), (5, 2 ** 8, 2 ** 9)]
-
-
-@pytest.mark.parametrize("n,bounds", [
-    (0, (1, 1)), (0, (1, 5, 9)),                      # n = 0: one interval, no shallow labels
-    (3, (8, 20)), (3, (11, 40)),                      # one range; b_0 > 2^n
-    (5, (32, 64, 64, 256)), (4, (100, 100)),          # an empty range
-    (6, (64, 256, 512, 2 ** 12)), (10, (2 ** 11, 2 ** 12, 2 ** 13, 2 ** 14)),
-])
-@pytest.mark.parametrize("seed", [1, 5, 99])
-def test_slot_counts_equals_the_single_draw(seed, n, bounds):
-    fast, slow = slot_counts(seed, n, bounds), single_draw_slot_counts(seed, n, bounds)
-    assert fast.dtype == np.int32 and fast.shape == slow.shape
-    assert np.array_equal(fast, slow)
-
-
-def test_slot_counts_holds_one_range_at_a_time():
-    # peak: the largest range, the rows, the shallow labels and one rank array,
-    # plus the draw's block scratch; the whole draw (8 MiB) does not fit
-    n, bounds = 10, (2 ** 10, 2 ** 19, 2 ** 20)
-    slot_counts(3, n, (2 ** n, 2 ** 12))     # warm up outside the trace
-    limit = 8 * (2 ** 19 + (len(bounds) - 1 + 2) * 2 ** n) + 2 ** 20
-    for counts in (slot_counts, single_draw_slot_counts):
-        tracemalloc.start()
-        try:
-            counts(7, n, bounds)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert (peak <= limit) == (counts is slot_counts), (counts.__name__, peak, limit)
+    assert np.array_equal(slot_counts(5, 6, 2 ** 6, 2 ** 8)[0], slow)
+    # the shallow labels, then the range
+    assert draws == [(5, 1, 2 ** 6), (5, 2 ** 6, 2 ** 8)]
 
 
 @pytest.mark.parametrize("n,lo,hi", [
     (0, 1, 1), (0, 1, 9), (0, 5, 2 ** 16 + 3),       # n = 0: one interval, no shallow labels
     (3, 8, 8), (4, 100, 100),                          # an empty range
-    (3, 11, 40), (6, 64, 2 ** 12), (10, 2 ** 10, 2 ** 14), (12, 2 ** 12, 2 ** 12 + 5),
+    (3, 8, 20), (3, 11, 40), (10, 2 ** 13, 2 ** 14),   # lo > 2^n as well
+    (6, 64, 2 ** 12), (10, 2 ** 10, 2 ** 14), (12, 2 ** 12, 2 ** 12 + 5),
 ])
 @pytest.mark.parametrize("seed", [1, 5, 99])
-def test_range_counts_equal_the_single_draw_and_return_the_sorted_shallow_labels(seed, n, lo, hi):
-    counts, shallow = randmodel.range_counts(seed, n, lo, hi)
-    assert counts.dtype == np.int32
+def test_slot_counts_equal_the_single_draw_and_return_the_sorted_shallow_labels(seed, n, lo, hi):
+    counts, shallow = slot_counts(seed, n, lo, hi)
+    assert counts.dtype == np.int32 and counts.shape == (2 ** n,)
     assert np.array_equal(counts, single_draw_slot_counts(seed, n, (lo, hi))[0])
     want = np.sort(rng.uniforms(seed, 1, 2 ** n))
     assert shallow.dtype == want.dtype and shallow.tobytes() == want.tobytes()
 
 
-def test_range_counts_count_a_deep_label_equal_to_a_shallow_one_at_or_below_it(monkeypatch):
+def test_slot_counts_count_a_deep_label_equal_to_a_shallow_one_at_or_below_it(monkeypatch):
     # hand-made keys: deep labels equal to shallow ones, and two equal shallow labels; the
     # counts follow np.searchsorted(side="right") of the sorted shallow labels
     n, lo, hi = 2, 4, 11
@@ -388,21 +346,21 @@ def test_range_counts_count_a_deep_label_equal_to_a_shallow_one_at_or_below_it(m
         out[:] = (shallow if start == 1 else deep) << np.uint64(11)
 
     monkeypatch.setattr(rng, "label_keys", label_keys)
-    counts, labels = randmodel.range_counts(0, n, lo, hi)
+    counts, labels = slot_counts(0, n, lo, hi)
     s, d = np.sort(shallow * 2.0 ** -53), np.sort(deep * 2.0 ** -53)
     ranks = np.searchsorted(d, s, side="right")
     assert counts.tolist() == np.diff(ranks, prepend=0, append=d.size).tolist() == [3, 3, 0, 1]
     assert labels.tolist() == s.tolist()
 
 
-def test_range_counts_hold_the_keys_and_the_counts():
+def test_slot_counts_hold_the_keys_and_the_counts():
     # peak: one uint64 key per label of the range and the shallow gaps, the int32 counts
     # and two blocks of scratch words; the sorted shallow labels take the keys' place
     n, lo, hi = 16, 2 ** 16, 2 ** 18
-    randmodel.range_counts(3, 10, 2 ** 10, 2 ** 12)   # warm up outside the trace
+    slot_counts(3, 10, 2 ** 10, 2 ** 12)   # warm up outside the trace
     tracemalloc.start()
     try:
-        counts, shallow = randmodel.range_counts(7, n, lo, hi)
+        counts, shallow = slot_counts(7, n, lo, hi)
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -455,7 +413,7 @@ def test_has_empty_interval_settles_on_the_witness_or_ranks_the_range(monkeypatc
         row[list(zeros)] = 0
         ranked.clear()
         assert randmodel.has_empty_interval(seed, n, row, lo, hi, shallow) is want, zeros
-        assert ranked == ([(seed, n, (lo, hi))] if falls_back else []), zeros
+        assert ranked == ([(seed, n, lo, hi)] if falls_back else []), zeros
 
 
 def test_has_empty_interval_holds_the_range_and_one_block(monkeypatch):
@@ -493,30 +451,20 @@ def test_has_empty_interval_draws_the_range_a_chunk_at_a_time(monkeypatch):
     assert peak <= 11 * 2 ** 20 + 8 * rng._BLOCK, peak
 
 
-def test_slot_counts_rejects_bounds_outside_the_deep_gaps():
-    with pytest.raises(InvalidRangeError, match=r"bound b_0 must be an integer in \[16, "):
-        slot_counts(3, 4, (8, 2 ** 8))       # b_0 < 2^n: a shallow gap
-    with pytest.raises(InvalidRangeError, match=r"bound b_1 must be an integer in \[16, 67108864\]"):
-        slot_counts(3, 4, (16, 2 ** randmodel.MAX_DEPTH + 1))
-
-
-def test_slot_counts_rejects_gap_index_zero():
-    with pytest.raises(InvalidRangeError):
-        slot_counts(3, 4, (0, 2 ** 8))
-
-
-def test_slot_counts_rejects_decreasing_bounds():
-    with pytest.raises(InvalidRangeError):
-        slot_counts(3, 4, (2 ** 8, 2 ** 6))
-    with pytest.raises(InvalidRangeError):
-        slot_counts(3, 4, (16, 2 ** 8, 2 ** 7, 2 ** 9))
-
-
-def test_slot_counts_rejects_a_level_outside_the_draw():
-    with pytest.raises(InvalidRangeError):
-        slot_counts(3, 11, (2 ** 4, 2 ** 10))
-    with pytest.raises(InvalidRangeError):
-        slot_counts(3, -1, (2 ** 4, 2 ** 10))
+@pytest.mark.parametrize("n,lo,hi,message", [
+    (4, 8, 2 ** 8, r"lo must be an integer in \[16, 67108864\], got 8"),   # a shallow gap
+    (4, 0, 2 ** 8, r"lo must be an integer in \[16, "),                   # gap index zero
+    (4, 16.0, 2 ** 8, r"lo must be an integer in \[16, "),
+    (4, 16, 2 ** randmodel.MAX_DEPTH + 1, r"hi must be an integer in \[16, 67108864\]"),
+    (4, 2 ** 8, 2 ** 6, r"hi must be an integer in \[256, "),             # decreasing
+    (11, 2 ** 4, 2 ** 10, r"lo must be an integer in \[2048, "),          # a level outside the draw
+    (-1, 2 ** 4, 2 ** 10, r"level n must be an integer in \[0, 26\]"),
+    (27, 2 ** 26, 2 ** 26, r"level n must be an integer in \[0, 26\]"),
+    (True, 2, 4, r"level n must be an integer"),
+])
+def test_slot_counts_rejects_a_bad_level_or_range(n, lo, hi, message):
+    with pytest.raises(InvalidRangeError, match=message):
+        slot_counts(3, n, lo, hi)
 
 
 def test_gap_counts_in_level_intervals():
