@@ -335,6 +335,22 @@ def test_slot_counts_equal_the_single_draw_and_return_the_sorted_shallow_labels(
     assert shallow.dtype == want.dtype and shallow.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("n,bounds", [
+    (0, (1, 1)), (0, (1, 5, 9)),                      # n = 0: one interval, no shallow labels
+    (3, (8, 20)), (3, (11, 40)),                      # one range; b_0 > 2^n
+    (5, (32, 64, 64, 256)), (4, (100, 100)),          # an empty range
+    (6, (64, 256, 512, 2 ** 12)), (10, (2 ** 11, 2 ** 12, 2 ** 13, 2 ** 14)),
+])
+@pytest.mark.parametrize("seed", [1, 5, 99])
+def test_slot_counts_equals_the_single_draw(seed, n, bounds):
+    # counts over the nested ranges [b_0, b_(i+1)) are running sums of single-range calls
+    parts = [slot_counts(seed, n, lo, hi)[0] for lo, hi in zip(bounds, bounds[1:])]
+    assert all(part.dtype == np.int32 for part in parts)
+    fast, slow = np.cumsum(parts, axis=0), single_draw_slot_counts(seed, n, bounds)
+    assert fast.shape == slow.shape == (len(bounds) - 1, 2 ** n)
+    assert np.array_equal(fast, slow)
+
+
 def test_slot_counts_count_a_deep_label_equal_to_a_shallow_one_at_or_below_it(monkeypatch):
     # hand-made keys: deep labels equal to shallow ones, and two equal shallow labels; the
     # counts follow np.searchsorted(side="right") of the sorted shallow labels
